@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import PathMetric, geodesic_between
+from .graph_core import InvariantError, PathMetric, geodesic_between
 from .selector import Holds, TwoSelector, Witness
 from .hyperspace import hausdorff_distance, vpair
 
@@ -65,7 +65,8 @@ def _first_break(m: PathMetric, f: TwoSelector, r: int, pairs):
             if m.distance(prev_choice, choice) > r:
                 # chains move one element along an edge, so the witness
                 # re-verifies by construction
-                assert hausdorff_distance(m, prev, cur) <= 1
+                if hausdorff_distance(m, prev, cur) > 1:
+                    raise InvariantError(f"chain step {prev} -> {cur} is not a d_H <= 1 move")
                 return Witness(prev, cur)
             prev, prev_choice = cur, choice
         elif prev is None:
@@ -171,7 +172,7 @@ def claim2_check(m, f: TwoSelector, r: int, config: ClaimConfig):
         broken = _first_break(m, f, r, leg)
         if broken is not None:
             return broken
-    raise AssertionError(
+    raise InvariantError(
         "propagation legs all closed yet the conclusion fails; "
         "f cannot be a function"
     )
@@ -209,5 +210,5 @@ def claim3_side(m, f: TwoSelector, r: int, zs, v: int, p: int, q: int | None = N
         return RightEnd(j)
     sub = claim2_check(m, f, r, ClaimConfig(v=v, z=zs, p=p))
     if isinstance(sub, Holds):
-        raise AssertionError("nearest distance both above and below p + r")
+        raise InvariantError("nearest distance both above and below p + r")
     return sub

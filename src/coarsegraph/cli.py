@@ -308,6 +308,15 @@ def _claim_outcome_payload(outcome):
     raise AssertionError(f"unknown outcome {outcome!r}")
 
 
+def _check_radii(args, *names) -> None:
+    """Radii and step bounds are nonnegative; an omitted one is None."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            flag = "--" + name.replace("_", "-")
+            raise InputError(f"{flag} must be nonnegative, got {value}")
+
+
 def _check_vertex(g: Graph, v: int) -> int:
     if not 0 <= v < g.vertex_count:
         raise InputError(f"vertex {v} out of range 0..{g.vertex_count - 1}")
@@ -315,6 +324,7 @@ def _check_vertex(g: Graph, v: int) -> int:
 
 
 def cmd_claims_c1(args):
+    _check_radii(args, "r", "p")
     g = load_graph(args)
     m = PathMetric(g)
     f = load_selector(args, g)
@@ -325,6 +335,7 @@ def cmd_claims_c1(args):
 
 
 def cmd_claims_c2(args):
+    _check_radii(args, "r", "p")
     g = load_graph(args)
     m = PathMetric(g)
     f = load_selector(args, g)
@@ -336,6 +347,7 @@ def cmd_claims_c2(args):
 
 
 def cmd_claims_c3(args):
+    _check_radii(args, "r", "p", "q")
     g = load_graph(args)
     m = PathMetric(g)
     f = load_selector(args, g)
@@ -346,6 +358,7 @@ def cmd_claims_c3(args):
 
 
 def cmd_extract(args):
+    _check_radii(args, "assert_r")
     g = load_graph(args)
     m = PathMetric(g)
     f = load_selector(args, g)

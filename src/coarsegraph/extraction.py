@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .claims import HypothesisUnmet, LeftEnd, RightEnd, claim3_side
-from .graph_core import PathMetric, geodesic_between
+from .graph_core import InvariantError, PathMetric, geodesic_between
 from .qi_cert import QuasiIsometryCert, tighten, verify_qi, Valid
 from .selector import TwoSelector, Witness, modulus, verify_selector
 
@@ -118,6 +118,15 @@ def _measure_slack(m: PathMetric, state: ExtractionState) -> int:
 
 def _max_step(m: PathMetric, seq) -> int:
     return max(m.distance(u, w) for u, w in zip(seq, seq[1:])) if len(seq) > 1 else 0
+
+
+def _certificate(m: PathMetric, coord: dict) -> QuasiIsometryCert:
+    """Tighten the coordinate's certificate, then check it once."""
+    cert = tighten(m, coord)
+    verdict = verify_qi(m, cert)
+    if not isinstance(verdict, Valid):
+        raise InvariantError(f"tightened certificate fails verification at {verdict}")
+    return cert
 
 
 def _falsify_or_none(m, f, r):
@@ -286,9 +295,5 @@ def extract_line(
             coord = {v: -x for v, x in coord.items()}
         shift = -min(coord.values())
         coord = {v: x + shift for v, x in coord.items()}
-        cert = tighten(m, coord)
-        assert isinstance(verify_qi(m, cert), Valid)
-        return Ray(coord, cert, diag)
-    cert = tighten(m, coord)
-    assert isinstance(verify_qi(m, cert), Valid)
-    return Line(coord, cert, diag)
+        return Ray(coord, _certificate(m, coord), diag)
+    return Line(coord, _certificate(m, coord), diag)

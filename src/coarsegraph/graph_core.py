@@ -18,6 +18,10 @@ class GraphError(ValueError):
     pass
 
 
+class InvariantError(RuntimeError):
+    """A runtime invariant failed: a fault in coarsegraph, not in its input."""
+
+
 class SelfLoop(GraphError):
     """An edge (v, v) was supplied."""
 
@@ -180,6 +184,17 @@ class PathMetric:
                 mat[v] = self.row(v)
             self._dense = mat
         return self._dense
+
+    def distance_block(self, sources, targets) -> np.ndarray:
+        """int64 array of d(s, t): one row per source, one column per target.
+
+        Reads the dense matrix when it is already built; otherwise the
+        sources' memoized BFS rows.
+        """
+        if self._dense is not None:
+            return self._dense[np.ix_(sources, targets)].astype(np.int64)
+        rows = np.array([self.row(s) for s in sources], dtype=np.int64)
+        return rows[:, targets]
 
     def distances_from_set(self, sources) -> list[int]:
         """Multi-source BFS: distance from each vertex to the nearest source."""

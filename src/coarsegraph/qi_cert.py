@@ -5,15 +5,45 @@ domain S,
 
     (1/lambda) * |coord u - coord v| - C  <=  d(u, v)  <=  lambda * |coord u - coord v| + C
 
-and that every vertex of the graph lies within D of S.  lambda is an exact
-rational; all comparisons are integer arithmetic, no floating point.
+and that every vertex of the graph lies within D of S.
+
+Both pair scans, ``verify_qi`` and ``tighten``, run one integer kernel.
+lambda is held as its integer pair num/den, and every comparison is a
+cross-multiplication.  With d = d(u, v) and delta = |coord u - coord v|:
+
+    upper bound fails:  d * den > num * delta + C * den
+    lower bound fails:  delta * den > num * (d + C)
+
+``tighten`` takes lambda as the largest of (d - C)/delta and delta/(d + C),
+comparing candidates a/b and c/e as a * e > c * b, so no float decides a
+verdict or a certificate; lambda becomes a Fraction once, at the end.
+
+Operand bound.  The kernel runs on int64 arrays when every product it can
+form is at most 2**62.  Coordinates are first shifted to start at 0, so
+delta never exceeds the coordinate span.  For ``verify_qi`` every product is
+at most num * (max(n, span) + C), because den <= num; for ``tighten`` it is
+at most max(span, 2 n)**2.  Above that bound (a user certificate with a huge
+lambda, C or coordinate) the same expressions run on numpy object arrays of
+Python ints, so nothing wraps.
+
+Memory.  Pairs are visited in blocks of rows of the sorted domain S: a block
+is some rows of S against the later columns of S, about BLOCK_ELEMENTS
+distances, and the kernel holds a few arrays of that size at a time however
+large S is.  Pairs inside a block are scanned in row-major order, which is
+the ascending (u, v) order of the scan.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .graph_core import PathMetric
+
+BLOCK_ELEMENTS = 1 << 16  # distances gathered per block of rows
+INT64_SAFE = 1 << 62  # largest product the int64 kernel may form
 
 
 @dataclass(frozen=True)
@@ -44,29 +74,72 @@ class FailurePoint:
         return self.v is None
 
 
+def _domain(m: PathMetric, coord: dict) -> tuple[list[int], list[int]]:
+    """Sorted domain S and its coordinates as Python ints.
+
+    Every id must be a vertex of the graph; a coordinate that is not an
+    integer raises TypeError rather than being truncated.
+    """
+    S = sorted(coord)
+    if not S:
+        raise ValueError("certificate domain is empty")
+    n = m.graph.vertex_count
+    for v in (S[0], S[-1]):
+        if not 0 <= v < n:
+            raise ValueError(f"certificate vertex {v} out of range 0..{n - 1}")
+    return S, [operator.index(coord[v]) for v in S]
+
+
+def _pair_blocks(m: PathMetric, S: list[int], values: list[int], bound: int):
+    """The ascending pair scan over S, one block of rows at a time.
+
+    Yields (i0, d, delta, pairs) for rows i0, i0 + 1, ... of S against the
+    columns i0 + 1 .. len(S) - 1; ``pairs`` marks the entries whose column
+    comes after their row.  Entries are int64 when the caller's products
+    stay within ``bound`` <= 2**62, and Python ints otherwise.
+    """
+    k = len(S)
+    dtype = np.int64 if bound <= INT64_SAFE else object
+    low = min(values)
+    c = np.array([x - low for x in values], dtype=dtype)
+    step = max(1, BLOCK_ELEMENTS // max(k, m.graph.vertex_count))
+    for i0 in range(0, k - 1, step):
+        i1 = min(i0 + step, k - 1)
+        d = m.distance_block(S[i0:i1], S[i0 + 1 :]).astype(dtype, copy=False)
+        delta = abs(c[i0:i1, None] - c[None, i0 + 1 :])
+        pairs = np.arange(k - i0 - 1)[None, :] >= np.arange(i1 - i0)[:, None]
+        yield i0, d, delta, pairs
+
+
+def _argmax_ratio(p: np.ndarray, q: np.ndarray) -> int:
+    """Index of a largest p[i] / q[i] (all q > 0): a knockout of cross-products."""
+    idx = np.arange(len(p))
+    while len(idx) > 1:
+        half = len(idx) // 2
+        a, b = idx[:half], idx[half : 2 * half]
+        winners = np.where(p[b] * q[a] > p[a] * q[b], b, a)
+        idx = np.concatenate((winners, idx[2 * half :]))
+    return int(idx[0])
+
+
 def verify_qi(m: PathMetric, cert: QuasiIsometryCert):
     """Valid iff both distance bounds and largeness hold pointwise.
 
     Pairs are scanned in ascending order, then coverage; the first failure
-    is returned.
+    is returned.  Raises ValueError for an empty domain, a domain vertex
+    outside the graph, or lambda < 1, C < 0, D < 0.
     """
-    S = cert.domain()
-    if not S:
-        raise ValueError("certificate domain is empty")
+    S, values = _domain(m, cert.coord)
     lam = Fraction(cert.lam)
     if lam < 1 or cert.C < 0 or cert.D < 0:
         raise ValueError("need lambda >= 1, C >= 0, D >= 0")
-    coord = cert.coord
-    for i, u in enumerate(S):
-        row = m.row(u)
-        cu = coord[u]
-        for v in S[i + 1 :]:
-            delta = abs(cu - coord[v])
-            d = row[v]
-            if d > lam * delta + cert.C:
-                return FailurePoint(u, v)
-            if delta > lam * (d + cert.C):
-                return FailurePoint(u, v)
+    num, den, C = lam.numerator, lam.denominator, operator.index(cert.C)
+    bound = num * (max(m.graph.vertex_count, max(values) - min(values)) + C)
+    for i0, d, delta, pairs in _pair_blocks(m, S, values, bound):
+        bad = pairs & ((d * den > num * delta + C * den) | (delta * den > num * (d + C)))
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            return FailurePoint(S[i0 + i], S[i0 + 1 + j])
     cover = m.distances_from_set(S)
     for w, dw in enumerate(cover):
         if dw > cert.D:
@@ -82,27 +155,23 @@ def tighten(m: PathMetric, coord: dict) -> QuasiIsometryCert:
     stretch net of C, in both directions; D is the exact covering radius.
     The result always verifies.
     """
-    S = sorted(coord)
-    if not S:
-        raise ValueError("empty coordinate")
+    S, values = _domain(m, coord)
+    bound = max(max(values) - min(values), 2 * m.graph.vertex_count) ** 2
     C = 0
-    for i, u in enumerate(S):
-        row = m.row(u)
-        cu = coord[u]
-        for v in S[i + 1 :]:
-            if coord[v] == cu:
-                C = max(C, row[v])
-    lam = Fraction(1)
-    for i, u in enumerate(S):
-        row = m.row(u)
-        cu = coord[u]
-        for v in S[i + 1 :]:
-            delta = abs(cu - coord[v])
-            if delta == 0:
-                continue
-            d = row[v]
-            if d - C > 0:
-                lam = max(lam, Fraction(d - C, delta))
-            lam = max(lam, Fraction(delta, d + C))
+    for _, d, delta, pairs in _pair_blocks(m, S, values, bound):
+        same = pairs & (delta == 0)
+        if same.any():
+            C = max(C, int(d[same].max()))
+    num, den = 1, 1  # lambda >= 1
+    for _, d, delta, pairs in _pair_blocks(m, S, values, bound):
+        apart = pairs & (delta > 0)
+        d, delta = d[apart], delta[apart]
+        p = np.concatenate((d - C, delta))
+        q = np.concatenate((delta, d + C))
+        above = p * den > num * q
+        if above.any():
+            p, q = p[above], q[above]
+            i = _argmax_ratio(p, q)
+            num, den = int(p[i]), int(q[i])
     D = max(m.distances_from_set(S))
-    return QuasiIsometryCert(dict(coord), lam, C, D)
+    return QuasiIsometryCert(dict(coord), Fraction(num, den), C, D)

@@ -226,3 +226,35 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("vertex", [-1, 7])
+def test_qi_verify_rejects_certificate_vertex_outside_graph(capsys, tmp_path, vertex):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"coord": [[0, 0], [vertex, 1]], "lambda": "1/1", "C": 0, "D": 3}))
+    code, out = _capture(capsys, ["qi", "verify", "--generate", "path:4", "--cert", str(cert)])
+    assert code == 2
+    assert f"vertex {vertex} out of range" in json.loads(out)["error"]
+
+
+def test_extract_rejects_negative_asserted_modulus(capsys):
+    code, out = _capture(
+        capsys, ["extract", "--generate", "path:200", "--selector", "min", "--assert-r", "-1"]
+    )
+    assert code == 2
+    assert "--assert-r must be nonnegative" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("flag", ["--r", "--p"])
+def test_claims_reject_negative_radius(capsys, flag):
+    values = {"--r": "1", "--p": "2"}
+    values[flag] = "-1"
+    code, out = _capture(
+        capsys,
+        [
+            "claims", "c1", "--generate", "path:20", "--selector", "min",
+            "--r", values["--r"], "--p", values["--p"], "--v", "19", "--a", "10", "--b", "12",
+        ],
+    )
+    assert code == 2
+    assert f"{flag} must be nonnegative" in json.loads(out)["error"]

@@ -1,0 +1,19 @@
+"""Runtime checks in the package are real checks: ``python -O`` strips asserts."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import coarsegraph
+
+PACKAGE = Path(coarsegraph.__file__).parent
+
+
+def test_package_has_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
