@@ -108,10 +108,26 @@ def parse_selector_file(text: str) -> dict:
             c = int(right)
         except ValueError:
             raise InputError(f"line {lineno}, column 1: expected 'a b -> c'")
+        if a == b:
+            raise InputError(f"line {lineno}: {{{a}, {b}}} is not a pair of distinct vertices")
         if c not in (a, b):
             raise InputError(f"line {lineno}: choice {c} not in pair {{{a}, {b}}}")
         table[(a, b) if a < b else (b, a)] = c
     return table
+
+
+def _check_table(table: dict, n: int) -> None:
+    """A selector table must give a choice for exactly the pairs of 0..n-1."""
+    for a, b in table:
+        for v in (a, b):
+            if not 0 <= v < n:
+                raise InputError(f"selector file names vertex {v}, out of range 0..{n - 1}")
+    pairs = n * (n - 1) // 2
+    if len(table) < pairs:
+        a, b = next((a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in table)
+        raise InputError(
+            f"selector file gives {len(table)} of the {pairs} pairs; pair {{{a}, {b}}} has no choice"
+        )
 
 
 def load_graph(args) -> Graph:
@@ -134,7 +150,9 @@ def load_selector(args, graph: Graph) -> TwoSelector:
         order = parse_order_file(_read(path), graph.vertex_count)
         return selector_mod.order_to_selector(order)
     if kind == "file":
-        return selector_mod.selector_from_table(parse_selector_file(_read(path)))
+        table = parse_selector_file(_read(path))
+        _check_table(table, graph.vertex_count)
+        return selector_mod.selector_from_table(table)
     raise InputError(f"unknown selector spec {spec!r}")
 
 
@@ -223,11 +241,17 @@ def cmd_hausdorff(args):
     return outcome, 0
 
 
+def _modulus(m: PathMetric, f: TwoSelector) -> selector_mod.Modulus:
+    if m.graph.vertex_count < 2:
+        raise InputError("the selector modulus needs a graph with at least two vertices")
+    return selector_mod.modulus(m, f)
+
+
 def cmd_selector_modulus(args):
     g = load_graph(args)
     m = PathMetric(g)
     f = load_selector(args, g)
-    res = selector_mod.modulus(m, f)
+    res = _modulus(m, f)
     return {
         "r": res.r,
         "witness": _witness_payload(res.witness),
@@ -235,6 +259,7 @@ def cmd_selector_modulus(args):
 
 
 def cmd_selector_verify(args):
+    _check_radii(args, "r")
     g = load_graph(args)
     m = PathMetric(g)
     f = load_selector(args, g)
@@ -260,7 +285,7 @@ def cmd_selector_min(args):
     g = load_graph(args)
     m = PathMetric(g)
     f = selector_mod.min_selector(list(range(g.vertex_count)))
-    res = selector_mod.modulus(m, f)
+    res = _modulus(m, f)
     return {"r": res.r, "table": _selector_table_payload(m, f)}, 0
 
 
@@ -269,13 +294,17 @@ def cmd_selector_from_order(args):
     m = PathMetric(g)
     order = parse_order_file(_read(args.order), g.vertex_count)
     f = selector_mod.order_to_selector(order)
-    res = selector_mod.modulus(m, f)
+    res = _modulus(m, f)
     return {"r": res.r, "table": _selector_table_payload(m, f)}, 0
 
 
 def cmd_selector_search(args):
+    _check_radii(args, "r_cap")
     g = load_graph(args)
-    outcomes = search.min_modulus_search(g, args.r_cap, node_budget=args.budget)
+    try:
+        outcomes = search.min_modulus_search(g, args.r_cap, node_budget=args.budget)
+    except search.BudgetExceeded as exc:
+        raise InputError(f"{exc} (--budget {args.budget})") from exc
     payload = []
     for oc in outcomes:
         if isinstance(oc, search.Feasible):

@@ -2,10 +2,22 @@
 
 Two-element subsets of the vertex set are represented as sorted tuples
 ``(a, b)`` with ``a < b``; general finite subsets as sorted tuples.
+
+The d_H <= 1 pair neighbourhood has one definition and one scan order.  A
+pair {x, y} lies within Hausdorff distance 1 of {a, b} exactly when, up to
+swapping x and y, x is in the closed neighbourhood N[a] and y in N[b].
+``neighborhood_table`` holds the sorted N[v] as rows, padded by repeating
+each row's last entry, and the scan visits (pair index, slot of a, slot of
+b) in lexicographic order: pairs {a < b} in (a, b) order, then each x in
+row a, then each y in row b, skipping x == y.  A padded slot repeats an
+(x, y) already met earlier in the same pair's scan, so the first entry of
+the scan that meets a condition is never a padded one.
 """
 from __future__ import annotations
 
-from .graph_core import PathMetric
+import numpy as np
+
+from .graph_core import Graph, PathMetric
 
 
 class EmptySet(ValueError):
@@ -59,18 +71,30 @@ def exp_contains(m: PathMetric, A, B, radius: int) -> bool:
     return True
 
 
-def neighbor_pair_candidates(m: PathMetric, P):
-    """Pairs {x, y} with x adjacent-or-equal to P[0] and y to P[1].
+def neighborhood_table(g: Graph, vertices) -> np.ndarray:
+    """Sorted closed neighbourhoods N[v] of ``vertices``, one int64 row each.
 
-    Every pair at Hausdorff distance <= 1 from P is of this form, so the
-    candidate set is exactly the d_H <= 1 neighborhood of P; pair_neighbors
-    filters anyway as a guard.
+    Rows are padded to a common width by repeating their last entry.
+    """
+    rows = [g.closed_neighborhood(v) for v in vertices]
+    width = max(map(len, rows))
+    return np.array([row + row[-1:] * (width - len(row)) for row in rows], dtype=np.int64)
+
+
+def neighbor_pair_candidates(m: PathMetric, P):
+    """Pairs {x, y} with x in N[P[0]] and y in N[P[1]], in scan order.
+
+    Reads the two rows of ``neighborhood_table`` for P and yields each pair
+    once, at its first occurrence in the module's scan order.  Every pair at
+    Hausdorff distance <= 1 from P is of this form, so the candidate set is
+    exactly the d_H <= 1 neighborhood of P; pair_neighbors filters anyway
+    as a guard.
     """
     a, b = vpair(*P)
-    g = m.graph
+    row_a, row_b = neighborhood_table(m.graph, (a, b)).tolist()
     seen = set()
-    for x in g.closed_neighborhood(a):
-        for y in g.closed_neighborhood(b):
+    for x in row_a:
+        for y in row_b:
             if x == y:
                 continue
             q = (x, y) if x < y else (y, x)

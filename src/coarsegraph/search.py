@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph, PathMetric
+from .graph_core import Graph, InvariantError, PathMetric
 from .hyperspace import neighbor_pair_candidates
 from .selector import Holds, TwoSelector, selector_from_table, verify_selector
 
@@ -60,8 +60,10 @@ def _search_at(m: PathMetric, pairs, nbrs, r: int, budget: int):
     """Backtracking with propagation at bound r.
 
     Variables are ordered by neighbor count (most constrained first) and
-    values by lower vertex id.  Returns (assignment, nodes) or
-    (None, nodes, backtracks).
+    values by lower vertex id.  Returns (assignment, nodes, backtracks),
+    with assignment None when no selector of modulus <= r exists.  The
+    depth-first walk keeps its decisions on an explicit stack, so its depth
+    is not bounded by Python's recursion limit.
     """
     count = len(pairs)
     order = sorted(range(count), key=lambda i: (-len(nbrs[i]), pairs[i]))
@@ -102,29 +104,38 @@ def _search_at(m: PathMetric, pairs, nbrs, r: int, budget: int):
             else:
                 domains[other] = dom
 
-    def extend(depth: int) -> bool:
-        nonlocal nodes, backtracks
+    # One frame per decision: [depth, var, values, next value, trail of the
+    # value tried last, or None once it is undone].
+    stack: list[list] = []
+    depth = 0
+    while True:
         while depth < count and order[depth] in assignment:
             depth += 1
         if depth == count:
-            return True
+            return dict(assignment), nodes, backtracks
         var = order[depth]
-        for value in list(domains[var]):
+        stack.append([depth, var, list(domains[var]), 0, None])
+        while stack:
+            frame = stack[-1]
+            depth, var, values, i, trail = frame
+            if trail is not None:
+                undo(trail)
+                backtracks += 1
+                frame[4] = None
+            if i == len(values):
+                stack.pop()
+                continue
+            frame[3] = i + 1
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(nodes)
-            assignment[var] = value
-            trail = [(var, None)]
-            if prune(var, trail) and extend(depth + 1):
-                return True
-            undo(trail)
-            backtracks += 1
-        return False
-
-    found = extend(0)
-    if found:
-        return dict(assignment), nodes, backtracks
-    return None, nodes, backtracks
+            assignment[var] = values[i]
+            frame[4] = trail = [(var, None)]
+            if prune(var, trail):
+                depth += 1
+                break
+        else:
+            return None, nodes, backtracks
 
 
 def min_modulus_search(
@@ -145,7 +156,7 @@ def min_modulus_search(
         table = {pairs[i]: v for i, v in assignment.items()}
         selector = selector_from_table(table, name=f"search-r{r}")
         if not isinstance(verify_selector(m, selector, r), Holds):
-            raise AssertionError("search produced a selector that fails verification")
+            raise InvariantError("search produced a selector that fails verification")
         outcomes.append(Feasible(r, selector, nodes))
         break
     return outcomes

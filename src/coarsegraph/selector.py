@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import PathMetric
-from .hyperspace import hausdorff_distance, neighbor_pair_candidates, vpair
+from .hyperspace import hausdorff_distance, neighborhood_table, vpair
 
 
 class NonInjectiveCoordinate(ValueError):
@@ -25,6 +25,7 @@ class InvalidSelector(ValueError):
 
 # Extensional tables are only materialized up to this many pairs.
 PAIR_TABLE_CAP = 200_000
+BLOCK_ELEMENTS = 1 << 16  # (pair, slot, slot) entries per block of the scan
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,10 @@ class TwoSelector:
 
     Stored intensionally (a coordinate whose minimum is chosen) or
     extensionally (a table with one choice per pair).  Coordinate form
-    scales and enables the vectorized modulus path; tables are what random
-    tournaments and search assignments produce.
+    scales to large graphs; tables are what random tournaments and search
+    assignments produce.  ``modulus`` and ``verify_selector`` run the same
+    vectorised scan on both: a comparison of coordinate ranks, or a lookup
+    in a pair-indexed choice array built from the table.
     """
 
     __slots__ = ("coord", "table", "name")
@@ -139,67 +142,81 @@ def lift_bornologous(coord) -> BornologousSelector:
     return BornologousSelector(coord)
 
 
-def _dense_setup(m: PathMetric, f: TwoSelector):
-    if f.coord is None:
-        return None
+def _chooser(f: TwoSelector, n: int):
+    """f as a vectorised choice: arrays x, y with x != y to the chosen elements."""
+    if f.coord is not None:
+        # ranks order the vertices as the coordinates do, whatever their type
+        rank = np.empty(n, dtype=np.int64)
+        rank[sorted(range(n), key=f.coord.__getitem__)] = np.arange(n)
+        return lambda x, y: np.where(rank[x] < rank[y], x, y)
+    table = f.table
+    takes_low = np.fromiter(
+        (table[(a, b)] == a for a in range(n) for b in range(a + 1, n)),
+        dtype=bool,
+        count=n * (n - 1) // 2,
+    )
+
+    def choose(x, y):
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        # position of the pair (lo, hi) in the (a, b) order of the table
+        return np.where(takes_low[lo * (2 * n - lo - 3) // 2 + hi - 1], lo, hi)
+
+    return choose
+
+
+def _row_jumps(m: PathMetric, a, b, x, fa, fb):
+    """d(fa, fb) for a block, read from the BFS rows of N[a] alone.
+
+    With fa = a the jump is a distance from a.  With fa = b it is d(x, b)
+    for x in N[a] when fb = x, or d(b, y) = [b != y] for y in N[b] when
+    fb = y.
+    """
+    rows = np.unique(x)
+    dist = m.distance_block(rows.tolist(), np.arange(m.graph.vertex_count))
+    from_b = np.where(fb == x, dist[np.searchsorted(rows, x), b], fb != b)
+    return np.where(fa == a, dist[np.searchsorted(rows, a), fb], from_b)
+
+
+def _jump_blocks(m: PathMetric, f: TwoSelector):
+    """d(f(A), f(B)) over the d_H <= 1 pair neighbourhood, a block at a time.
+
+    Walks the scan order of ``hyperspace`` over blocks of about
+    BLOCK_ELEMENTS (pair, slot, slot) entries and yields (a, b, X, Y, jumps):
+    the block's pairs {a[i] < b[i]}, their neighbourhoods X[:, i] = N[a[i]]
+    and Y[:, i] = N[b[i]], and jumps[i, s, t] = d(f({a, b}), f({x, y})) with
+    x = X[s, i] and y = Y[t, i], or -1 where x == y.  The arrays are held
+    slot-major, so the arithmetic runs along the block's pairs; ``jumps`` is
+    a view in scan order.  Distances come from the dense matrix when the
+    metric has one, else from ``_row_jumps``.
+    """
+    n = m.graph.vertex_count
     dist = m.dense_matrix()
-    if dist is None:
-        return None
-    g = m.graph
-    n = g.vertex_count
-    if n < 2:
-        return None
-    width = max(g.degree(v) for v in range(n)) + 1
-    nbr = np.empty((n, width), dtype=np.int64)
-    for v in range(n):
-        row = list(g.adjacency[v])
-        row += [v] * (width - len(row))
-        nbr[v] = row
-    coord = np.asarray(f.coord, dtype=np.int64)
-    ia, ib = np.triu_indices(n, 1)
-    return dist, coord, nbr, ia, ib, width
+    choose = _chooser(f, n)
+    nbr = neighborhood_table(m.graph, range(n)).T.copy()
+    width = nbr.shape[0]
+    v = np.arange(n)
+    starts = v * (2 * n - v - 1) // 2  # index of pair (v, v + 1)
+    step = max(1, BLOCK_ELEMENTS // (width * width))
+    for p0 in range(0, n * (n - 1) // 2, step):
+        p = np.arange(p0, min(p0 + step, n * (n - 1) // 2))
+        a = np.searchsorted(starts, p, side="right") - 1
+        b = p - starts[a] + a + 1
+        X, Y = nbr.take(a, axis=1), nbr.take(b, axis=1)
+        x, y = X[:, None, :], Y[None, :, :]
+        fa = choose(a, b)
+        fb = choose(x, y)
+        if dist is None:
+            jumps = _row_jumps(m, a, b, x, fa, fb)
+        else:
+            jumps = dist.ravel().take(fa * n + fb)
+        yield a, b, X, Y, np.where(x == y, -1, jumps).transpose(2, 0, 1)
 
 
-def _max_jump_dense(setup) -> int:
-    """Vectorized max of d(f(A), f(B)) over all d_H <= 1 pair neighborhoods."""
-    dist, coord, nbr, ia, ib, width = setup
-    fa = np.where(coord[ia] < coord[ib], ia, ib)
-    best = 0
-    for si in range(width):
-        x = nbr[ia, si]
-        cx = coord[x]
-        for sj in range(width):
-            y = nbr[ib, sj]
-            fb = np.where(cx < coord[y], x, y)
-            jump = dist[fa, fb]
-            jump = np.where(x != y, jump, 0)
-            step_max = int(jump.max()) if jump.size else 0
-            if step_max > best:
-                best = step_max
-    return best
-
-
-def _scan_pairs(m: PathMetric, f: TwoSelector):
-    """Deterministic scan of (A, B, jump) over all neighbor pairs of pairs."""
-    g = m.graph
-    n = g.vertex_count
-    for a in range(n):
-        for b in range(a + 1, n):
-            fa = f.choose(a, b)
-            row = m.row(fa)
-            for x in g.closed_neighborhood(a):
-                for y in g.closed_neighborhood(b):
-                    if x == y:
-                        continue
-                    fb = f.choose(x, y)
-                    yield (a, b), vpair(x, y), row[fb]
-
-
-def _first_attaining(m: PathMetric, f: TwoSelector, threshold: int):
-    for pa, pb, jump in _scan_pairs(m, f):
-        if jump >= threshold:
-            return pa, pb
-    return None
+def _entry(block, index: int):
+    """The (A, B) pair of pairs at a flat index into a block's jumps."""
+    a, b, X, Y, jumps = block
+    i, s, t = np.unravel_index(index, jumps.shape)
+    return (int(a[i]), int(b[i])), vpair(int(X[s, i]), int(Y[t, i]))
 
 
 def modulus(m: PathMetric, f: TwoSelector) -> Modulus:
@@ -207,17 +224,17 @@ def modulus(m: PathMetric, f: TwoSelector) -> Modulus:
 
     Minimality: every d_H <= 1 neighbor pair has choice distance <= r and
     the attaining witness rules out r - 1 (or r = 0 and any neighbor pair
-    serves as witness).
+    serves as witness).  The witness is the first attaining pair in scan
+    order.
     """
-    g = m.graph
-    if g.vertex_count < 2:
+    if m.graph.vertex_count < 2:
         raise ValueError("modulus needs at least two vertices")
-    setup = _dense_setup(m, f)
-    if setup is not None:
-        r = _max_jump_dense(setup)
-    else:
-        r = max(jump for _, _, jump in _scan_pairs(m, f))
-    witness = _first_attaining(m, f, r)
+    r, witness = -1, None
+    for block in _jump_blocks(m, f):
+        jumps = block[-1]
+        top = int(jumps.max())
+        if top > r:
+            r, witness = top, _entry(block, int(jumps.argmax()))
     return Modulus(r, witness)
 
 
@@ -227,20 +244,11 @@ def verify_selector(m: PathMetric, f: TwoSelector, r: int):
     Otherwise returns the first violating pair in scan order; the witness
     re-verifies (d_H <= 1 and image distance > r) by construction.
     """
-    setup = _dense_setup(m, f)
-    if setup is not None and _max_jump_dense(setup) <= r:
-        return Holds()
-    hit = _first_attaining_over(m, f, r)
-    if hit is None:
-        return Holds()
-    return Witness(*hit)
-
-
-def _first_attaining_over(m: PathMetric, f: TwoSelector, r: int):
-    for pa, pb, jump in _scan_pairs(m, f):
-        if jump > r:
-            return pa, pb
-    return None
+    for block in _jump_blocks(m, f):
+        jumps = block[-1]
+        if jumps.max() > r:
+            return Witness(*_entry(block, int((jumps > r).argmax())))
+    return Holds()
 
 
 def witness_is_violation(m: PathMetric, f: TwoSelector, r: int, pair_a, pair_b) -> bool:

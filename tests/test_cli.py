@@ -258,3 +258,67 @@ def test_claims_reject_negative_radius(capsys, flag):
     )
     assert code == 2
     assert f"{flag} must be nonnegative" in json.loads(out)["error"]
+
+
+SELECTOR_COMMANDS = [
+    (["selector", "modulus"], []),
+    (["selector", "verify"], ["--r", "1"]),
+    (["extract"], []),
+    (["claims", "c1"], ["--r", "1", "--p", "2", "--v", "3", "--a", "0", "--b", "1"]),
+    (["claims", "c2"], ["--r", "1", "--p", "2", "--v", "3", "--z", "0,1"]),
+    (["claims", "c3"], ["--r", "1", "--p", "1", "--v", "3", "--z", "0,1"]),
+]
+
+
+def _path4_table(tmp_path, drop=(), extra=""):
+    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4) if (a, b) not in drop]
+    sel = tmp_path / "sel.txt"
+    sel.write_text("".join(f"{a} {b} -> {a}\n" for a, b in pairs) + extra)
+    return sel
+
+
+@pytest.mark.parametrize("command, options", SELECTOR_COMMANDS, ids=lambda c: " ".join(c))
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (dict(drop=[(1, 3)]), "gives 5 of the 6 pairs; pair {1, 3} has no choice"),
+        (dict(extra="2 4 -> 4\n"), "names vertex 4, out of range 0..3"),
+        (dict(extra="2 2 -> 2\n"), "line 7: {2, 2} is not a pair of distinct vertices"),
+    ],
+    ids=["missing-pair", "vertex-out-of-range", "equal-ends"],
+)
+def test_selector_file_must_match_graph(capsys, tmp_path, command, options, table, message):
+    sel = _path4_table(tmp_path, **table)
+    argv = [*command, "--generate", "path:4", "--selector", f"file:{sel}", *options]
+    code, out = _capture(capsys, argv)
+    assert code == 2
+    assert message in json.loads(out)["error"]
+
+
+def test_selector_modulus_rejects_one_vertex_graph(capsys):
+    code, out = _capture(capsys, ["selector", "modulus", "--generate", "path:1", "--selector", "min"])
+    assert code == 2
+    assert "at least two vertices" in json.loads(out)["error"]
+
+
+def test_selector_verify_rejects_negative_radius(capsys):
+    code, out = _capture(
+        capsys, ["selector", "verify", "--generate", "path:6", "--selector", "min", "--r", "-1"]
+    )
+    assert code == 2
+    assert "--r must be nonnegative" in json.loads(out)["error"]
+
+
+def test_selector_search_rejects_negative_cap(capsys):
+    code, out = _capture(capsys, ["selector", "search", "--generate", "path:4", "--r-cap", "-1"])
+    assert code == 2
+    assert "--r-cap must be nonnegative" in json.loads(out)["error"]
+
+
+def test_selector_search_budget_is_input_error(capsys):
+    code, out = _capture(
+        capsys,
+        ["selector", "search", "--generate", "grid:4x4", "--r-cap", "4", "--budget", "100"],
+    )
+    assert code == 2
+    assert "search budget exceeded after 101 nodes" in json.loads(out)["error"]

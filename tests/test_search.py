@@ -90,3 +90,12 @@ def test_budget_exceeded():
     with pytest.raises(BudgetExceeded) as exc:
         min_modulus_search(g, 0, node_budget=0)
     assert exc.value.nodes == 1
+
+
+def test_search_depth_is_not_bounded_by_recursion_limit():
+    # 2016 pairs, one decision each: deeper than Python's default recursion
+    # limit allowed the search to go
+    outcomes = min_modulus_search(grid_graph(8, 8), 8)
+    assert [o.nodes for o in outcomes] == [2, 2, 2, 2, 6, 14, 254, 8190, 1612]
+    assert [o.backtracks for o in outcomes[:-1]] == [2, 2, 2, 2, 6, 14, 254, 8190]
+    assert isinstance(outcomes[-1], Feasible) and outcomes[-1].r == 8

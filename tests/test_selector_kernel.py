@@ -1,0 +1,70 @@
+"""The blocked pair-neighbourhood kernel against the Python scan oracle.
+
+``selector_oracle`` holds the pair-by-pair scans; ``modulus`` must give the
+same r and attaining witness, and ``verify_selector`` the same verdict and
+first witness at every r from -1 to the modulus, for coordinate, order and
+table selectors, on both sides of the dense cap and across block
+boundaries.
+"""
+from __future__ import annotations
+
+import random
+from unittest import mock
+
+import pytest
+
+from coarsegraph import PathMetric, selector
+from coarsegraph.generators import comb_graph, cycle_graph, grid_graph, path_graph, tripod_graph
+from coarsegraph.order_compat import LinearOrder
+from coarsegraph.search import _pair_structure
+from coarsegraph.selector import min_selector, modulus, order_to_selector, verify_selector
+from conftest import random_tournament
+from selector_oracle import oracle_modulus, oracle_pair_neighbors, oracle_verify
+
+GRAPHS = {
+    "path2": path_graph(2),
+    "path3": path_graph(3),
+    "path9": path_graph(9),
+    "grid3x3": grid_graph(3, 3),
+    "grid3x5": grid_graph(3, 5),
+    "grid4x4": grid_graph(4, 4),
+    "cycle7": cycle_graph(7),
+    "tripod": tripod_graph(2, 3, 2),
+    "comb": comb_graph(6, 2),
+}
+
+
+def _selectors(g, rng):
+    n = g.vertex_count
+    shuffled = list(range(n))
+    rng.shuffle(shuffled)
+    yield "min", min_selector(list(range(n)))
+    yield "coord", min_selector([10**20 - 7 * v for v in shuffled])
+    yield "order", order_to_selector(LinearOrder.from_ranking(shuffled))
+    for k in range(3):
+        yield f"table{k}", random_tournament(g, rng)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+@pytest.mark.parametrize("dense_cap", [4096, 0])
+@pytest.mark.parametrize("block", [1, 7, 40, selector.BLOCK_ELEMENTS])
+def test_kernel_matches_oracle(name, dense_cap, block):
+    g = GRAPHS[name]
+    rng = random.Random(f"{name}:{dense_cap}:{block}")
+    oracle_metric = PathMetric(g)
+    with mock.patch.object(selector, "BLOCK_ELEMENTS", block):
+        for label, f in _selectors(g, rng):
+            m = PathMetric(g, dense_cap=dense_cap)
+            expected = oracle_modulus(oracle_metric, f)
+            assert modulus(m, f) == expected, label
+            for r in range(-1, expected.r + 1):
+                assert verify_selector(m, f, r) == oracle_verify(oracle_metric, f, r), (label, r)
+            assert (m.dense_matrix() is None) == (dense_cap == 0)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_search_neighbour_lists_unchanged(name):
+    m = PathMetric(GRAPHS[name])
+    pairs, index, nbrs = _pair_structure(m)
+    for p, got in zip(pairs, nbrs):
+        assert got == sorted(index[q] for q in oracle_pair_neighbors(m, p))
