@@ -13,6 +13,7 @@ from .graph_core import (
     Graph,
     GraphError,
     GeodesicPath,
+    InputError,
     MetricEntourage,
     PathMetric,
     SelfLoop,

@@ -189,6 +189,8 @@ def claim3_side(m, f: TwoSelector, r: int, zs, v: int, p: int, q: int | None = N
     zs = tuple(zs)
     if q is None:
         q = 2 * (r + p) + 1
+    if not zs:
+        return HypothesisUnmet("empty chain")
     if p <= 0:
         return HypothesisUnmet("p must be positive")
     for i, (z1, z2) in enumerate(zip(zs, zs[1:])):

@@ -2,7 +2,8 @@
 
 Every subcommand prints one JSON report to stdout.  Exit codes: 0 success,
 1 verification failure (a witness, failure point, falsification or
-disconnected net), 2 input error.  Reports are byte-identical across runs
+disconnected net), 2 input error: any ``InputError``, argparse usage errors
+included, caught once in ``run``.  Reports are byte-identical across runs
 for identical inputs and flags; timing is only recorded under --timing.
 """
 from __future__ import annotations
@@ -18,13 +19,18 @@ from . import __version__
 from . import claims as claims_mod
 from . import discretize, extraction, generators, order_compat, qi_cert, search
 from . import selector as selector_mod
-from .graph_core import Graph, GraphError, PathMetric, build_graph, geodesic_between
+from .graph_core import (
+    Graph,
+    InputError,
+    InvariantError,
+    PathMetric,
+    build_graph,
+    field_error,
+    geodesic_between,
+    tokenize,
+)
 from .hyperspace import hausdorff_distance, pair_neighbors
 from .selector import Holds, TwoSelector, Witness
-
-
-class InputError(Exception):
-    pass
 
 
 def _frac(text: str) -> Fraction:
@@ -39,25 +45,21 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_graph_file(text: str) -> Graph:
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise InputError(f"line {lineno}, column 1: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            col = raw.index(parts[-1]) + 1
-            raise InputError(f"line {lineno}, column {col}: vertex ids must be integers")
-        edges.append((u, v))
+def _ints(fields) -> tuple[int, ...]:
     try:
-        return build_graph(edges)
-    except GraphError as exc:
-        raise InputError(str(exc)) from exc
+        return tuple(map(int, fields))
+    except ValueError:
+        return ()
+
+
+def _int_lines(text: str, form: str):
+    """Each line of ``text`` as a tuple of ints, one per field of ``form``."""
+    width = len(form.split())
+    for lineno, fields in tokenize(text):
+        values = _ints(fields)
+        if len(values) != width:
+            raise field_error(text, lineno, fields, (int,) * width, f"expected '{form}'")
+        yield values
 
 
 def parse_generate(spec: str) -> Graph:
@@ -76,48 +78,31 @@ def parse_generate(spec: str) -> Graph:
         if kind == "comb":
             s, t = (int(x) for x in rest.split(","))
             return generators.comb_graph(s, t)
-    except (ValueError, GraphError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad generator spec {spec!r}: {exc}") from exc
     raise InputError(f"unknown generator {kind!r} (use path/cycle/grid/tripod/comb)")
 
 
 def parse_order_file(text: str, n: int) -> order_compat.LinearOrder:
-    ranking = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        try:
-            ranking.append(int(stripped))
-        except ValueError:
-            raise InputError(f"line {lineno}, column 1: expected a vertex id")
+    ranking = [v for (v,) in _int_lines(text, "v")]
     if sorted(ranking) != list(range(n)):
         raise InputError(f"order file must list each of 0..{n - 1} exactly once")
     return order_compat.LinearOrder.from_ranking(ranking)
 
 
-def parse_selector_file(text: str) -> dict:
+def parse_selector_file(text: str, n: int) -> dict:
+    """A choice for exactly the pairs of 0..n-1, one 'a b -> c' line each."""
     table = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        try:
-            left, right = stripped.split("->")
-            a, b = (int(x) for x in left.split())
-            c = int(right)
-        except ValueError:
-            raise InputError(f"line {lineno}, column 1: expected 'a b -> c'")
+    for lineno, fields in tokenize(text):
+        values = _ints(fields[:2] + fields[3:])
+        if len(values) != 3 or fields[2] != "->":
+            raise field_error(text, lineno, fields, (int, int, str, int), "expected 'a b -> c'")
+        a, b, c = values
         if a == b:
             raise InputError(f"line {lineno}: {{{a}, {b}}} is not a pair of distinct vertices")
         if c not in (a, b):
             raise InputError(f"line {lineno}: choice {c} not in pair {{{a}, {b}}}")
         table[(a, b) if a < b else (b, a)] = c
-    return table
-
-
-def _check_table(table: dict, n: int) -> None:
-    """A selector table must give a choice for exactly the pairs of 0..n-1."""
     for a, b in table:
         for v in (a, b):
             if not 0 <= v < n:
@@ -128,73 +113,81 @@ def _check_table(table: dict, n: int) -> None:
         raise InputError(
             f"selector file gives {len(table)} of the {pairs} pairs; pair {{{a}, {b}}} has no choice"
         )
+    return table
 
 
 def load_graph(args) -> Graph:
     if getattr(args, "generate", None):
         return parse_generate(args.generate)
     if getattr(args, "graph", None):
-        return parse_graph_file(_read(args.graph))
+        return build_graph(_int_lines(_read(args, args.graph), "u v"))
     raise InputError("supply --graph FILE or --generate SPEC")
 
 
 def load_selector(args, graph: Graph) -> TwoSelector:
-    spec = getattr(args, "selector", None)
-    if not spec:
-        raise InputError("supply --selector min|lexmin|order:FILE|file:FILE")
+    spec = args.selector
     if spec in ("min", "lexmin"):
         # ids are row-major on generated grids, so lexmin and min coincide
         return selector_mod.min_selector(list(range(graph.vertex_count)))
     kind, _, path = spec.partition(":")
     if kind == "order":
-        order = parse_order_file(_read(path), graph.vertex_count)
+        order = parse_order_file(_read(args, path), graph.vertex_count)
         return selector_mod.order_to_selector(order)
     if kind == "file":
-        table = parse_selector_file(_read(path))
-        _check_table(table, graph.vertex_count)
+        table = parse_selector_file(_read(args, path), graph.vertex_count)
         return selector_mod.selector_from_table(table)
     raise InputError(f"unknown selector spec {spec!r}")
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+def _load_graph_and_selector(args) -> tuple[Graph, PathMetric, TwoSelector]:
+    g = load_graph(args)
+    return g, PathMetric(g), load_selector(args, g)
+
+
+def _read(args, path: str) -> str:
+    """The text of ``path``, read once per run and kept for the report's digest."""
+    if path not in args.texts:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                args.texts[path] = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {path}: {exc}") from exc
+    return args.texts[path]
 
 
 def _digest(args) -> dict:
+    """sha256 over every option and the text of every file the run read."""
     h = hashlib.sha256()
     for key in sorted(vars(args)):
-        if key in ("func", "timing"):
+        if key in ("func", "texts", "timing"):
             continue
         value = getattr(args, key)
         h.update(f"{key}={value!r}\n".encode())
-        if key in ("graph", "order", "cert", "sample") and value:
-            try:
-                h.update(_read(value).encode())
-            except InputError:
-                pass
-        if key == "selector" and value and ":" in str(value):
-            _, _, path = str(value).partition(":")
-            try:
-                h.update(_read(path).encode())
-            except InputError:
-                pass
+        path = str(value).partition(":")[2] if key == "selector" else value
+        if key in ("cert", "coord", "graph", "order", "sample", "selector") and path in args.texts:
+            h.update(args.texts[path].encode())
     return {"sha256": h.hexdigest()}
 
 
-def _vertex_list(text: str, graph: Graph | None = None) -> list[int]:
+def _vertex_list(text: str, graph: Graph) -> list[int]:
     try:
-        out = [int(x) for x in text.split(",") if x != ""]
+        ids = [int(x) for x in text.split(",") if x != ""]
     except ValueError as exc:
         raise InputError(f"bad vertex list {text!r}: {exc}") from exc
-    if graph is not None:
-        for v in out:
-            if not 0 <= v < graph.vertex_count:
-                raise InputError(f"vertex {v} out of range 0..{graph.vertex_count - 1}")
-    return out
+    return [_check_vertex(graph, v) for v in ids]
+
+
+def _check_vertex(g: Graph, v: int) -> int:
+    if not 0 <= v < g.vertex_count:
+        raise InputError(f"vertex {v} out of range 0..{g.vertex_count - 1}")
+    return v
+
+
+def _pair(text: str, graph: Graph, flag: str) -> list[int]:
+    pair = _vertex_list(text, graph)
+    if len(pair) != 2:
+        raise InputError(f"{flag} takes exactly two ids, got {text!r}")
+    return pair
 
 
 def _cert_payload(cert: qi_cert.QuasiIsometryCert) -> dict:
@@ -218,7 +211,7 @@ def cmd_metric(args):
     m = PathMetric(g)
     out = []
     for spec in args.pairs:
-        u, v = _vertex_list(spec, g)
+        u, v = _pair(spec, g, "--pairs")
         entry = {"u": u, "v": v, "d": m.distance(u, v)}
         if args.geodesic:
             entry["geodesic"] = list(geodesic_between(m, u, v).vertices)
@@ -234,24 +227,18 @@ def cmd_hausdorff(args):
     d = hausdorff_distance(m, A, B)
     outcome = {"set_a": sorted(set(A)), "set_b": sorted(set(B)), "d_H": d}
     if args.neighbors_of:
-        pair = _vertex_list(args.neighbors_of, g)
+        pair = _pair(args.neighbors_of, g, "--neighbors-of")
+        if pair[0] == pair[1]:
+            raise InputError(f"--neighbors-of takes two distinct ids, got {args.neighbors_of!r}")
         outcome["pair_neighbors"] = sorted(
             list(p) for p in pair_neighbors(m, tuple(pair))
         )
     return outcome, 0
 
 
-def _modulus(m: PathMetric, f: TwoSelector) -> selector_mod.Modulus:
-    if m.graph.vertex_count < 2:
-        raise InputError("the selector modulus needs a graph with at least two vertices")
-    return selector_mod.modulus(m, f)
-
-
 def cmd_selector_modulus(args):
-    g = load_graph(args)
-    m = PathMetric(g)
-    f = load_selector(args, g)
-    res = _modulus(m, f)
+    _, m, f = _load_graph_and_selector(args)
+    res = selector_mod.modulus(m, f)
     return {
         "r": res.r,
         "witness": _witness_payload(res.witness),
@@ -260,9 +247,7 @@ def cmd_selector_modulus(args):
 
 def cmd_selector_verify(args):
     _check_radii(args, "r")
-    g = load_graph(args)
-    m = PathMetric(g)
-    f = load_selector(args, g)
+    _, m, f = _load_graph_and_selector(args)
     verdict = selector_mod.verify_selector(m, f, args.r)
     if isinstance(verdict, Holds):
         return {"r": args.r, "verdict": "holds"}, 0
@@ -281,30 +266,23 @@ def _selector_table_payload(m, f, cap=2000):
     return [[a, b, c] for (a, b), c in sorted(table.items())]
 
 
-def cmd_selector_min(args):
+def cmd_selector_table(args):
+    """selector min and selector from-order: one selector's modulus and table."""
     g = load_graph(args)
     m = PathMetric(g)
-    f = selector_mod.min_selector(list(range(g.vertex_count)))
-    res = _modulus(m, f)
-    return {"r": res.r, "table": _selector_table_payload(m, f)}, 0
-
-
-def cmd_selector_from_order(args):
-    g = load_graph(args)
-    m = PathMetric(g)
-    order = parse_order_file(_read(args.order), g.vertex_count)
-    f = selector_mod.order_to_selector(order)
-    res = _modulus(m, f)
+    n = g.vertex_count
+    if args.subcommand == "min":
+        f = selector_mod.min_selector(list(range(n)))
+    else:
+        f = selector_mod.order_to_selector(parse_order_file(_read(args, args.order), n))
+    res = selector_mod.modulus(m, f)
     return {"r": res.r, "table": _selector_table_payload(m, f)}, 0
 
 
 def cmd_selector_search(args):
     _check_radii(args, "r_cap")
     g = load_graph(args)
-    try:
-        outcomes = search.min_modulus_search(g, args.r_cap, node_budget=args.budget)
-    except search.BudgetExceeded as exc:
-        raise InputError(f"{exc} (--budget {args.budget})") from exc
+    outcomes = search.min_modulus_search(g, args.r_cap, node_budget=args.budget)
     payload = []
     for oc in outcomes:
         if isinstance(oc, search.Feasible):
@@ -334,7 +312,7 @@ def _claim_outcome_payload(outcome):
         return {"verdict": "left_end", "j": outcome.j}, 0
     if isinstance(outcome, claims_mod.RightEnd):
         return {"verdict": "right_end", "j": outcome.j}, 0
-    raise AssertionError(f"unknown outcome {outcome!r}")
+    raise InvariantError(f"unknown outcome {outcome!r}")
 
 
 def _check_radii(args, *names) -> None:
@@ -346,17 +324,9 @@ def _check_radii(args, *names) -> None:
             raise InputError(f"{flag} must be nonnegative, got {value}")
 
 
-def _check_vertex(g: Graph, v: int) -> int:
-    if not 0 <= v < g.vertex_count:
-        raise InputError(f"vertex {v} out of range 0..{g.vertex_count - 1}")
-    return v
-
-
 def cmd_claims_c1(args):
     _check_radii(args, "r", "p")
-    g = load_graph(args)
-    m = PathMetric(g)
-    f = load_selector(args, g)
+    g, m, f = _load_graph_and_selector(args)
     for v in (args.v, args.a, args.b):
         _check_vertex(g, v)
     outcome = claims_mod.claim1_propagate(m, f, args.r, args.v, args.a, args.b, args.p)
@@ -365,9 +335,7 @@ def cmd_claims_c1(args):
 
 def cmd_claims_c2(args):
     _check_radii(args, "r", "p")
-    g = load_graph(args)
-    m = PathMetric(g)
-    f = load_selector(args, g)
+    g, m, f = _load_graph_and_selector(args)
     config = claims_mod.ClaimConfig(
         v=_check_vertex(g, args.v), z=tuple(_vertex_list(args.z, g)), p=args.p
     )
@@ -377,9 +345,7 @@ def cmd_claims_c2(args):
 
 def cmd_claims_c3(args):
     _check_radii(args, "r", "p", "q")
-    g = load_graph(args)
-    m = PathMetric(g)
-    f = load_selector(args, g)
+    g, m, f = _load_graph_and_selector(args)
     outcome = claims_mod.claim3_side(
         m, f, args.r, _vertex_list(args.z, g), _check_vertex(g, args.v), args.p, q=args.q
     )
@@ -388,9 +354,7 @@ def cmd_claims_c3(args):
 
 def cmd_extract(args):
     _check_radii(args, "assert_r")
-    g = load_graph(args)
-    m = PathMetric(g)
-    f = load_selector(args, g)
+    _, m, f = _load_graph_and_selector(args)
     result = extraction.extract_line(m, f, r=args.assert_r)
     diag = dict(result.diagnostics)
     diag["anomalies"] = list(diag.get("anomalies", []))
@@ -410,34 +374,31 @@ def cmd_extract(args):
     }, 0
 
 
+def _json_int(value) -> int:
+    """A JSON integer; a float or a bool is refused, never truncated."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not a JSON integer")
+    return value
+
+
 def _load_cert(args) -> qi_cert.QuasiIsometryCert:
     if args.cert:
         try:
-            payload = json.loads(_read(args.cert))
-        except json.JSONDecodeError as exc:
+            block = json.loads(_read(args, args.cert))
+        except ValueError as exc:
             raise InputError(f"bad certificate JSON: {exc}") from exc
-        block = payload
         for key in ("outcome", "certificate"):
             if isinstance(block, dict) and key in block:
                 block = block[key]
         try:
-            coord = {int(v): int(c) for v, c in block["coord"]}
-            return qi_cert.QuasiIsometryCert(
-                coord, _frac(str(block["lambda"])), int(block["C"]), int(block["D"])
-            )
+            coord = {_json_int(v): _json_int(c) for v, c in block["coord"]}
+            lam, C, D = block["lambda"], _json_int(block["C"]), _json_int(block["D"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad certificate payload: {exc}") from exc
+        return qi_cert.QuasiIsometryCert(coord, _frac(str(lam)), C, D)
     if not args.coord:
         raise InputError("supply --cert FILE or --coord FILE with --lam/--C/--D")
-    coord = {}
-    for lineno, raw in enumerate(_read(args.coord).splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise InputError(f"line {lineno}, column 1: expected 'vertex value'")
-        coord[int(parts[0])] = int(parts[1])
+    coord = dict(_int_lines(_read(args, args.coord), "vertex value"))
     return qi_cert.QuasiIsometryCert(coord, _frac(args.lam), args.c_const, args.d_const)
 
 
@@ -445,10 +406,7 @@ def cmd_qi_verify(args):
     g = load_graph(args)
     m = PathMetric(g)
     cert = _load_cert(args)
-    try:
-        verdict = qi_cert.verify_qi(m, cert)
-    except ValueError as exc:
-        raise InputError(f"unusable certificate: {exc}") from exc
+    verdict = qi_cert.verify_qi(m, cert)
     if isinstance(verdict, qi_cert.Valid):
         return {"verdict": "valid", "certificate": _cert_payload(cert)}, 0
     payload = {"verdict": "failure", "u": verdict.u}
@@ -462,24 +420,14 @@ def cmd_qi_verify(args):
 
 def _load_space(args) -> discretize.FiniteMetricSpace:
     if args.sample:
-        try:
-            return discretize.parse_sample_file(_read(args.sample))
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        return discretize.parse_sample_file(_read(args, args.sample))
     if not args.shape:
         raise InputError("supply --shape KIND:DIMS --step Q or --sample FILE")
     kind, _, rest = args.shape.partition(":")
-    try:
-        if kind in ("segment", "circle"):
-            shape = (kind, Fraction(rest))
-        elif kind == "rectangle":
-            w, h = rest.split("x")
-            shape = (kind, Fraction(w), Fraction(h))
-        else:
-            raise ValueError(f"unknown shape {kind!r}")
-        return discretize.sample_space(shape, _frac(args.step))
-    except (ValueError, discretize.StepTooCoarse) as exc:
-        raise InputError(str(exc)) from exc
+    dims = rest.split("x") if kind == "rectangle" else [rest]
+    if kind == "rectangle" and len(dims) != 2:
+        raise InputError(f"bad shape {args.shape!r}: use rectangle:WxH")
+    return discretize.sample_space((kind, *map(_frac, dims)), _frac(args.step))
 
 
 def _point_label(pt) -> str:
@@ -488,29 +436,22 @@ def _point_label(pt) -> str:
     return _frac_str(pt)
 
 
-def cmd_net_build(args):
+def cmd_net(args):
+    """net build and net certify: a disconnected net graph is an exit-1 outcome of both."""
     space = _load_space(args)
     net = discretize.greedy_net(space)
+    labels = [_point_label(space.points[i]) for i in net.indices]
     try:
         graph = discretize.net_graph(space, net)
     except discretize.DisconnectedNetGraph as exc:
+        return {"net": labels, "error": "disconnected_net_graph", "components": exc.components}, 1
+    if args.subcommand == "build":
         return {
-            "net": [_point_label(space.points[i]) for i in net.indices],
-            "error": "disconnected_net_graph",
-            "components": exc.components,
-        }, 1
-    return {
-        "net": [_point_label(space.points[i]) for i in net.indices],
-        "net_indices": list(net.indices),
-        "edges": graph.edge_list(),
-        "vertices": graph.vertex_count,
-    }, 0
-
-
-def cmd_net_certify(args):
-    space = _load_space(args)
-    net = discretize.greedy_net(space)
-    graph = discretize.net_graph(space, net)
+            "net": labels,
+            "net_indices": list(net.indices),
+            "edges": graph.edge_list(),
+            "vertices": graph.vertex_count,
+        }, 0
     cert = discretize.certify_net(space, net, graph)
     return {
         "net_indices": list(net.indices),
@@ -524,8 +465,11 @@ def cmd_sample(args):
     space = _load_space(args)
     text = discretize.write_sample_file(space)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     return {
         "points": space.n,
         "delta": _frac_str(space.delta),
@@ -536,10 +480,11 @@ def cmd_sample(args):
 def _load_order(args, n: int) -> order_compat.LinearOrder:
     if args.order == "natural" or args.order is None:
         return order_compat.LinearOrder.natural(n)
-    return parse_order_file(_read(args.order), n)
+    return parse_order_file(_read(args, args.order), n)
 
 
 def cmd_order_compat(args):
+    _check_radii(args, "e")
     g = load_graph(args)
     m = PathMetric(g)
     order = _load_order(args, g.vertex_count)
@@ -556,6 +501,7 @@ def cmd_order_compat(args):
 
 
 def cmd_order_interval(args):
+    _check_radii(args, "e")
     g = load_graph(args)
     m = PathMetric(g)
     order = _load_order(args, g.vertex_count)
@@ -569,8 +515,22 @@ def cmd_order_interval(args):
     }, 0
 
 
+def _command_name(words) -> str | None:
+    """The dotted name of a (sub)command, as in ``selector.verify``."""
+    return ".".join(w for w in words if w) or None
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error, named by the parser that found it."""
+
+    def error(self, message):
+        exc = InputError(message)
+        exc.command = _command_name(self.prog.split()[1:])
+        raise exc
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="coarsegraph")
+    parser = _Parser(prog="coarsegraph")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -597,8 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (
         ("modulus", cmd_selector_modulus),
         ("verify", cmd_selector_verify),
-        ("min", cmd_selector_min),
-        ("from-order", cmd_selector_from_order),
+        ("min", cmd_selector_table),
+        ("from-order", cmd_selector_table),
         ("search", cmd_selector_search),
     ):
         q = ssub.add_parser(name)
@@ -651,13 +611,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pn = sub.add_parser("net", help="separation nets on metric samples")
     nsub = pn.add_subparsers(dest="subcommand", required=True)
-    for name, func in (("build", cmd_net_build), ("certify", cmd_net_certify)):
+    for name in ("build", "certify"):
         q = nsub.add_parser(name)
         q.add_argument("--shape", help="segment:L | circle:C | rectangle:WxH")
         q.add_argument("--step", default="1/2")
         q.add_argument("--sample", help="metric sample file")
         q.add_argument("--timing", action="store_true")
-        q.set_defaults(func=func)
+        q.set_defaults(func=cmd_net)
 
     p = sub.add_parser("sample", help="emit a metric sample file")
     p.add_argument("--shape", required=True)
@@ -681,28 +641,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.monotonic()
+    command = None
     try:
+        args, extra = build_parser().parse_known_args(argv)
+        command = _command_name([args.command, getattr(args, "subcommand", None)])
+        if extra:
+            raise InputError(f"unrecognized arguments: {' '.join(extra)}")
+        args.texts = {}
+        started = time.monotonic()
         outcome, code = args.func(args)
-    except InputError as exc:
+        elapsed = round((time.monotonic() - started) * 1000.0, 3)
         report = {
-            "command": args.command,
-            "error": str(exc),
+            "command": command,
+            "inputs": _digest(args),
+            "outcome": outcome,
+            "timing_ms": elapsed if args.timing else None,
             "version": __version__,
         }
-        print(json.dumps(report, sort_keys=True, indent=2))
-        return 2
-    elapsed = round((time.monotonic() - started) * 1000.0, 3)
-    report = {
-        "command": args.command
-        + ("." + args.subcommand if getattr(args, "subcommand", None) else ""),
-        "inputs": _digest(args),
-        "outcome": outcome,
-        "timing_ms": elapsed if getattr(args, "timing", False) else None,
-        "version": __version__,
-    }
+    except InputError as exc:
+        code = 2
+        command = getattr(exc, "command", command)
+        report = {"command": command, "error": str(exc), "version": __version__}
     print(json.dumps(report, sort_keys=True, indent=2))
     return code
 

@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph_core import DisconnectedGraph, Graph, PathMetric, build_graph
+from .graph_core import (
+    DisconnectedGraph, Graph, InputError, PathMetric, build_graph, field_error, tokenize
+)
 
 
-class StepTooCoarse(ValueError):
+class StepTooCoarse(InputError):
     pass
 
 
@@ -34,6 +36,10 @@ class FiniteMetricSpace:
     points: list
     dist_matrix: list[list[Fraction]]
     delta: Fraction
+
+    def __post_init__(self):
+        if not self.points:
+            raise InputError("a metric sample needs at least one point")
 
     @property
     def n(self) -> int:
@@ -64,8 +70,6 @@ class FiniteMetricSpace:
     def is_chain_connected(self) -> bool:
         """Every pair joined by a chain with steps <= delta."""
         n = self.n
-        if n == 0:
-            return True
         seen = {0}
         stack = [0]
         while stack:
@@ -82,14 +86,14 @@ def _check_step(step: Fraction) -> Fraction:
     if step > Fraction(1, 2):
         raise StepTooCoarse(f"step {step} > 1/2")
     if step <= 0:
-        raise ValueError("step must be positive")
+        raise InputError("step must be positive")
     return step
 
 
 def _count(total, step: Fraction) -> int:
     ratio = Fraction(total) / step
     if ratio.denominator != 1:
-        raise ValueError(f"step {step} does not divide {total}")
+        raise InputError(f"step {step} does not divide {total}")
     return int(ratio)
 
 
@@ -126,7 +130,7 @@ def sample_space(shape, step) -> FiniteMetricSpace:
             for (x1, y1) in pts
         ]
         return FiniteMetricSpace(pts, mat, step)
-    raise ValueError(f"unknown shape {kind!r}")
+    raise InputError(f"unknown shape {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -217,41 +221,34 @@ def write_sample_file(space: FiniteMetricSpace) -> str:
 
 def parse_sample_file(text: str) -> FiniteMetricSpace:
     """Parse the textual sample format; delta is the max nearest-neighbor gap."""
-    lines = text.splitlines()
-    header = None
+    lines = tokenize(text)
+    lineno, fields = next(lines, (1, None))
+    if fields is None:
+        raise InputError("line 1, column 1: missing 'points N' header")
+    if len(fields) != 2 or fields[0] != "points":
+        raise field_error(text, lineno, fields, (), "expected 'points N'")
+    try:
+        n = int(fields[1])
+    except ValueError as exc:
+        raise field_error(text, lineno, fields, (str, int), str(exc)) from exc
     entries = []
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if header is None:
-            parts = stripped.split()
-            if len(parts) != 2 or parts[0] != "points":
-                raise ValueError(f"line {lineno}, column 1: expected 'points N'")
-            header = int(parts[1])
-            continue
-        parts = stripped.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}, column 1: expected 'i j num/den'")
+    for lineno, fields in lines:
+        if len(fields) != 3:
+            raise field_error(text, lineno, fields, (), "expected 'i j num/den'")
+        i, j, d = fields
         try:
-            i, j = int(parts[0]), int(parts[1])
-            d = Fraction(parts[2])
-        except ValueError as exc:
-            col = raw.index(parts[-1]) + 1
-            raise ValueError(f"line {lineno}, column {col}: {exc}") from exc
-        entries.append((i, j, d))
-    if header is None:
-        raise ValueError("line 1, column 1: missing 'points N' header")
-    n = header
+            entries.append((int(i), int(j), Fraction(d)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise field_error(text, lineno, fields, (int, int, Fraction), str(exc)) from exc
     if len(entries) != n * (n - 1) // 2:
-        raise ValueError(
+        raise InputError(
             f"expected {n * (n - 1) // 2} distance entries for {n} points, "
             f"got {len(entries)}"
         )
     mat = [[Fraction(0)] * n for _ in range(n)]
     for i, j, d in entries:
         if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ValueError(f"bad point indices in entry ({i}, {j})")
+            raise InputError(f"bad point indices in entry ({i}, {j})")
         mat[i][j] = d
         mat[j][i] = d
     space = FiniteMetricSpace(list(range(n)), mat, Fraction(0))

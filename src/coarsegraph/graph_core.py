@@ -7,6 +7,7 @@ caller's business.
 """
 from __future__ import annotations
 
+import re
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -14,7 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class GraphError(ValueError):
+class InputError(ValueError):
+    """Bad input from outside the program; the CLI reports it with exit 2."""
+
+
+class GraphError(InputError):
     pass
 
 
@@ -35,6 +40,36 @@ class DisconnectedGraph(GraphError):
         super().__init__(
             f"graph is disconnected: {len(self.components)} components ({preview}...)"
         )
+
+
+def tokenize(text: str):
+    """(line number, fields) for each line of ``text`` that has fields.
+
+    The lexical rule of every line format: ``#`` starts a comment to the end
+    of the line, and fields are separated by whitespace.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield lineno, fields
+
+
+def field_error(text: str, lineno: int, fields, parsers, message: str) -> InputError:
+    """InputError 'line L, column C: message' for a line that failed to parse.
+
+    C is the column of the first field its parser in ``parsers`` rejects, or
+    of the first field; only this error path ever works out a column.
+    """
+    for index, (parse, field) in enumerate(zip(parsers, fields)):
+        try:
+            parse(field)
+        except (ValueError, ZeroDivisionError):
+            break
+    else:
+        index = 0
+    line = text.splitlines()[lineno - 1]
+    column = [m.start() for m in re.finditer(r"\S+", line)][index] + 1
+    return InputError(f"line {lineno}, column {column}: {message}")
 
 
 class Graph:
@@ -109,6 +144,8 @@ def build_graph(edge_list, vertex_count: int | None = None) -> Graph:
         else:
             edges.add(key)
         max_id = max(max_id, u, v)
+    if vertex_count is None and max_id > len(edges):  # m edges connect at most m + 1 ids
+        raise GraphError(f"graph is disconnected: {len(edges)} edge(s) cannot connect 0..{max_id}")
     n = vertex_count if vertex_count is not None else max(max_id + 1, 1)
     if max_id >= n:
         raise GraphError(f"vertex id {max_id} out of range 0..{n - 1}")

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph_core import Graph, PathMetric
+from .graph_core import Graph, InputError, PathMetric
 
 
-class EmptySet(ValueError):
+class EmptySet(InputError):
     pass
 
 

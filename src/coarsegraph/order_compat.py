@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import PathMetric
+from .graph_core import InputError, PathMetric
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,13 @@ def min_compat_radius(
 ) -> CompatibilityReport:
     """Smallest g in [e, cap] making radius-e perturbations order-safe.
 
-    Searched among metric radii only; cap defaults to the diameter.
+    Searched among metric radii only; cap defaults to max(e, diameter).
     Returns NotFound with the violating triples at the cap otherwise.
     """
     if cap is None:
-        cap = m.diameter()
+        cap = max(e, m.diameter())
     if cap < e:
-        raise ValueError("cap must be at least e")
+        raise InputError("cap must be at least e")
     for g in range(e, cap + 1):
         if not _violations_at(m, order, e, g, limit=1):
             return CompatibilityReport(e, MinimalG(g), [])

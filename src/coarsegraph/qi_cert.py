@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph_core import PathMetric
+from .graph_core import InputError, PathMetric
 
 BLOCK_ELEMENTS = 1 << 16  # distances gathered per block of rows
 INT64_SAFE = 1 << 62  # largest product the int64 kernel may form
@@ -82,11 +82,11 @@ def _domain(m: PathMetric, coord: dict) -> tuple[list[int], list[int]]:
     """
     S = sorted(coord)
     if not S:
-        raise ValueError("certificate domain is empty")
+        raise InputError("certificate domain is empty")
     n = m.graph.vertex_count
     for v in (S[0], S[-1]):
         if not 0 <= v < n:
-            raise ValueError(f"certificate vertex {v} out of range 0..{n - 1}")
+            raise InputError(f"certificate vertex {v} out of range 0..{n - 1}")
     return S, [operator.index(coord[v]) for v in S]
 
 
@@ -126,13 +126,13 @@ def verify_qi(m: PathMetric, cert: QuasiIsometryCert):
     """Valid iff both distance bounds and largeness hold pointwise.
 
     Pairs are scanned in ascending order, then coverage; the first failure
-    is returned.  Raises ValueError for an empty domain, a domain vertex
+    is returned.  Raises InputError for an empty domain, a domain vertex
     outside the graph, or lambda < 1, C < 0, D < 0.
     """
     S, values = _domain(m, cert.coord)
     lam = Fraction(cert.lam)
     if lam < 1 or cert.C < 0 or cert.D < 0:
-        raise ValueError("need lambda >= 1, C >= 0, D >= 0")
+        raise InputError("need lambda >= 1, C >= 0, D >= 0")
     num, den, C = lam.numerator, lam.denominator, operator.index(cert.C)
     bound = num * (max(m.graph.vertex_count, max(values) - min(values)) + C)
     for i0, d, delta, pairs in _pair_blocks(m, S, values, bound):

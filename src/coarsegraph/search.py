@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph, InvariantError, PathMetric
+from .graph_core import Graph, InputError, InvariantError, PathMetric
 from .hyperspace import neighbor_pair_candidates
 from .selector import Holds, TwoSelector, selector_from_table, verify_selector
 
@@ -19,7 +19,7 @@ class TooLarge(ValueError):
     pass
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(InputError):
     def __init__(self, nodes: int):
         self.nodes = nodes
         super().__init__(f"search budget exceeded after {nodes} nodes")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import PathMetric
+from .graph_core import InputError, PathMetric
 from .hyperspace import hausdorff_distance, neighborhood_table, vpair
 
 
@@ -19,7 +19,7 @@ class NonInjectiveCoordinate(ValueError):
     pass
 
 
-class InvalidSelector(ValueError):
+class InvalidSelector(InputError):
     pass
 
 
@@ -228,7 +228,7 @@ def modulus(m: PathMetric, f: TwoSelector) -> Modulus:
     order.
     """
     if m.graph.vertex_count < 2:
-        raise ValueError("modulus needs at least two vertices")
+        raise InputError("the selector modulus needs a graph with at least two vertices")
     r, witness = -1, None
     for block in _jump_blocks(m, f):
         jumps = block[-1]

@@ -89,10 +89,11 @@ def test_qi_verify_failure_exit_code(capsys, tmp_path):
 
 def test_graph_file_parse_error(capsys, tmp_path):
     bad = tmp_path / "bad.edges"
-    bad.write_text("0 1\n2 x\n")
-    code, out = _capture(capsys, ["metric", "--graph", str(bad), "--pairs", "0,1"])
-    assert code == 2
-    assert "line 2" in json.loads(out)["error"]
+    for text, position in (("0 1\n2 x\n", "line 2, column 3"), ("0 1\nx 2\n", "line 2, column 1")):
+        bad.write_text(text)
+        code, out = _capture(capsys, ["metric", "--graph", str(bad), "--pairs", "0,1"])
+        assert code == 2
+        assert json.loads(out)["error"].startswith(position)
 
 
 def test_selector_file(capsys, tmp_path):
@@ -322,3 +323,114 @@ def test_selector_search_budget_is_input_error(capsys):
     )
     assert code == 2
     assert "search budget exceeded after 101 nodes" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "coordinate", ["1.9", "true", '"1"', "coord-file"], ids=["float", "bool", "string", "coord-line"]
+)
+def test_qi_verify_takes_integers_only(capsys, tmp_path, coordinate):
+    if coordinate == "coord-file":
+        coord = tmp_path / "coord.txt"
+        coord.write_text("0 0\n1 x\n")
+        source = ["--coord", str(coord)]
+    else:
+        cert = tmp_path / "cert.json"
+        cert.write_text(f'{{"coord": [[0, 0], [1, {coordinate}], [2, 2]], "lambda": "1/1", "C": 0, "D": 0}}')
+        source = ["--cert", str(cert)]
+    code, out = _capture(capsys, ["qi", "verify", "--generate", "path:3", *source])
+    assert code == 2
+    assert "outcome" not in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv, code, check",
+    [
+        (["metric", "--generate", "path:4", "--pairs", "0"], 2, "--pairs takes exactly two ids"),
+        (["metric", "--generate", "path:4", "--pairs", "0,1,2"], 2, "--pairs takes exactly two ids"),
+        (["order", "compat", "--generate", "path:6", "--e", "-1"], 2, "--e must be nonnegative"),
+        (["order", "interval", "--generate", "path:6", "--e", "-1"], 2, "--e must be nonnegative"),
+        (["order", "compat", "--generate", "path:6", "--cap", "1", "--e", "3"], 2, "cap must be at least e"),
+        (["hausdorff", "--generate", "path:4", "--set-a", "", "--set-b", "1"], 2, "nonempty subset"),
+        (["metric", "--graph", b"0 1\n\xff\n", "--pairs", "0,1"], 2, "can't decode"),
+        (["sample", "--shape", "segment:4", "--out", "missing-dir/x.sample"], 2, "cannot write"),
+        (["order", "compat", "--generate", "path:2", "--e", "2"], 0, ("result", {"g": 2})),
+        (
+            ["claims", "c3", "--generate", "path:10", "--selector", "min",
+             "--r", "1", "--p", "1", "--v", "3", "--z", ""],
+            0,
+            ("reason", "empty chain"),
+        ),
+        (["metric", "--graph", b"0 1000000\n", "--pairs", "0,1"], 2, "cannot connect"),
+    ],
+    ids=[
+        "pairs-one", "pairs-three", "compat-negative-e", "interval-negative-e", "cap-below-e",
+        "empty-set", "non-utf8-graph", "out-missing-dir", "default-cap-is-e", "c3-empty-chain",
+        "max-id-beyond-edges",
+    ],
+)
+def test_inputs_that_raised_are_json_reports(capsys, tmp_path, argv, code, check):
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if isinstance(arg, bytes):
+            path = tmp_path / "input"
+            path.write_bytes(arg)
+            argv[i] = str(path)
+        elif arg.startswith("missing-dir/"):
+            argv[i] = str(tmp_path / arg)
+    got, out = _capture(capsys, argv)
+    report = json.loads(out)
+    assert got == code
+    if code == 2:
+        assert check in report["error"]
+    else:
+        key, value = check
+        assert report["outcome"][key] == value
+
+
+@pytest.mark.parametrize("command", ["build", "certify"])
+def test_net_commands_report_disconnected_net_graph(capsys, tmp_path, command):
+    sample = tmp_path / "in.sample"
+    sample.write_text("points 3\n0 1 1\n0 2 9\n1 2 9\n")
+    code, out = _capture(capsys, ["net", command, "--sample", str(sample)])
+    assert code == 1
+    outcome = json.loads(out)["outcome"]
+    assert outcome["error"] == "disconnected_net_graph"
+    assert outcome["components"] == [[0], [1]]
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["selector", "verify", "--generate", "path:6", "--selector", "min", "--r", "-1"], "selector.verify"),
+        (["selector", "verify", "--generate", "path:6", "--selector", "min"], "selector.verify"),
+        (["selector", "verify", "--generate", "path:6", "--selector", "min", "--r", "x"], "selector.verify"),
+        (["net", "certify", "--step", "1/2"], "net.certify"),
+        (["selector", "modulus", "--generate", "path:4", "--selector", "min", "--x"], "selector.modulus"),
+        (["selector"], "selector"),
+        (["bogus"], None),
+        ([], None),
+    ],
+    ids=[
+        "input-error", "missing-option", "bad-int", "no-shape", "unrecognized", "no-subcommand",
+        "unknown", "empty",
+    ],
+)
+def test_error_reports_name_the_dotted_command(capsys, argv, command):
+    code, out = _capture(capsys, argv)
+    report = json.loads(out)
+    assert code == 2
+    assert report["command"] == command
+    assert "outcome" not in report and report["error"]
+
+
+def test_digest_covers_the_coord_file(capsys, tmp_path):
+    digests = []
+    for text in ("0 0\n1 1\n", "0 0\n1 1\n2 2\n"):
+        coord = tmp_path / "coord.txt"
+        coord.write_text(text)
+        code, out = _capture(
+            capsys, ["qi", "verify", "--generate", "path:3", "--coord", str(coord), "--D", "2"]
+        )
+        assert code == 0
+        digests.append(json.loads(out)["inputs"]["sha256"])
+    assert digests[0] != digests[1]

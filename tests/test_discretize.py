@@ -219,6 +219,10 @@ def test_sample_file_errors_name_position():
         parse_sample_file("nonsense\n")
     with pytest.raises(ValueError, match="line 2"):
         parse_sample_file("points 3\n0 1 oops\n")
+    with pytest.raises(ValueError, match="line 2, column 3"):
+        parse_sample_file("points 3\n0 x 9\n")
+    with pytest.raises(ValueError, match="line 2, column 5"):
+        parse_sample_file("points 2\n0 1 1/0\n")
 
 
 @settings(max_examples=30, deadline=None)

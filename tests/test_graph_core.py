@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from coarsegraph import (
     DisconnectedGraph,
+    GraphError,
     MetricEntourage,
     PathMetric,
     SelfLoop,
@@ -34,6 +35,13 @@ def test_build_reports_components():
     with pytest.raises(DisconnectedGraph) as err:
         build_graph([(0, 1), (1, 2), (2, 0), (3, 4)])
     assert sorted(map(sorted, err.value.components)) == [[0, 1, 2], [3, 4]]
+
+
+def test_build_rejects_max_id_beyond_edge_count():
+    # m edges connect at most m + 1 vertices, so this is refused before
+    # a million adjacency lists are allocated
+    with pytest.raises(GraphError, match="1 edge\\(s\\) cannot connect 0..1000000"):
+        build_graph([(0, 10**6)])
 
 
 def test_duplicate_edges_counted():
