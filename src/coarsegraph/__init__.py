@@ -14,18 +14,13 @@ from .graph_core import (
     GraphError,
     GeodesicPath,
     InputError,
-    MetricEntourage,
     PathMetric,
     SelfLoop,
-    ball,
     build_graph,
-    distance,
-    entourage_algebra,
     geodesic_between,
 )
 from .hyperspace import (
     EmptySet,
-    exp_contains,
     hausdorff_distance,
     pair_neighbors,
     vpair,

@@ -55,6 +55,18 @@ def _chain_vertices(m: PathMetric, anchors) -> list[int]:
     return walk
 
 
+def _chain_unmet(m: PathMetric, zs, p: int) -> HypothesisUnmet | None:
+    """The first chain hypothesis that fails: a nonempty chain, p > 0, steps <= p."""
+    if len(zs) < 1:
+        return HypothesisUnmet("empty chain")
+    if p <= 0:
+        return HypothesisUnmet("p must be positive")
+    for i, (z1, z2) in enumerate(zip(zs, zs[1:])):
+        if m.distance(z1, z2) > p:
+            return HypothesisUnmet(f"chain step {i} exceeds p")
+    return None
+
+
 def _first_break(m: PathMetric, f: TwoSelector, r: int, pairs):
     """First consecutive step whose images are more than r apart."""
     prev = None
@@ -121,13 +133,9 @@ def claim2_check(m, f: TwoSelector, r: int, config: ClaimConfig):
     zs = config.z
     p = config.p
     v = config.v
-    if len(zs) < 1:
-        return HypothesisUnmet("empty chain")
-    if p <= 0:
-        return HypothesisUnmet("p must be positive")
-    for i, (z1, z2) in enumerate(zip(zs, zs[1:])):
-        if m.distance(z1, z2) > p:
-            return HypothesisUnmet(f"chain step {i} exceeds p")
+    unmet = _chain_unmet(m, zs, p)
+    if unmet is not None:
+        return unmet
     _, k = _nearest_index(m, v, zs)
     zk = zs[k]
     if config.geodesic is not None:
@@ -189,13 +197,9 @@ def claim3_side(m, f: TwoSelector, r: int, zs, v: int, p: int, q: int | None = N
     zs = tuple(zs)
     if q is None:
         q = 2 * (r + p) + 1
-    if not zs:
-        return HypothesisUnmet("empty chain")
-    if p <= 0:
-        return HypothesisUnmet("p must be positive")
-    for i, (z1, z2) in enumerate(zip(zs, zs[1:])):
-        if m.distance(z1, z2) > p:
-            return HypothesisUnmet(f"chain step {i} exceeds p")
+    unmet = _chain_unmet(m, zs, p)
+    if unmet is not None:
+        return unmet
     last = len(zs) - 1
     dmin, j = _nearest_index(m, v, zs)
     if dmin <= p + r:

@@ -32,6 +32,9 @@ from .graph_core import (
 from .hyperspace import hausdorff_distance, pair_neighbors
 from .selector import Holds, TwoSelector, Witness
 
+# selector min and from-order list their table only up to this many pairs
+TABLE_PAIR_CAP = 2000
+
 
 def _frac(text: str) -> Fraction:
     try:
@@ -258,14 +261,6 @@ def cmd_selector_verify(args):
     }, 1
 
 
-def _selector_table_payload(m, f, cap=2000):
-    n = m.graph.vertex_count
-    if n * (n - 1) // 2 > cap:
-        return None
-    table = selector_mod.materialize_table(m, f)
-    return [[a, b, c] for (a, b), c in sorted(table.items())]
-
-
 def cmd_selector_table(args):
     """selector min and selector from-order: one selector's modulus and table."""
     g = load_graph(args)
@@ -274,9 +269,12 @@ def cmd_selector_table(args):
     if args.subcommand == "min":
         f = selector_mod.min_selector(list(range(n)))
     else:
-        f = selector_mod.order_to_selector(parse_order_file(_read(args, args.order), n))
-    res = selector_mod.modulus(m, f)
-    return {"r": res.r, "table": _selector_table_payload(m, f)}, 0
+        f = selector_mod.order_to_selector(_load_order(args, n))
+    r = selector_mod.modulus(m, f).r
+    table = None
+    if n * (n - 1) // 2 <= TABLE_PAIR_CAP:
+        table = [[a, b, f.choose(a, b)] for a in range(n) for b in range(a + 1, n)]
+    return {"r": r, "table": table}, 0
 
 
 def cmd_selector_search(args):
@@ -568,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             q.add_argument("--r", type=int, required=True)
         if name == "from-order":
-            q.add_argument("--order", required=True)
+            q.add_argument("--order", required=True, help="order file, or 'natural'")
         if name == "search":
             q.add_argument("--r-cap", type=int, required=True)
             q.add_argument("--budget", type=int, default=500_000)

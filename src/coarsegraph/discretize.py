@@ -48,38 +48,6 @@ class FiniteMetricSpace:
     def dist(self, i: int, j: int) -> Fraction:
         return self.dist_matrix[i][j]
 
-    def check_metric_axioms(self) -> None:
-        n = self.n
-        if n > 512:
-            raise ValueError("exhaustive axiom check capped at 512 points")
-        d = self.dist_matrix
-        for i in range(n):
-            if d[i][i] != 0:
-                raise ValueError(f"d({i},{i}) != 0")
-            for j in range(n):
-                if d[i][j] != d[j][i]:
-                    raise ValueError(f"asymmetric at ({i},{j})")
-                if i != j and d[i][j] <= 0:
-                    raise ValueError(f"non-positive distance at ({i},{j})")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if d[i][k] > d[i][j] + d[j][k]:
-                        raise ValueError(f"triangle fails at ({i},{j},{k})")
-
-    def is_chain_connected(self) -> bool:
-        """Every pair joined by a chain with steps <= delta."""
-        n = self.n
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j not in seen and self.dist_matrix[i][j] <= self.delta:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == n
-
 
 def _check_step(step: Fraction) -> Fraction:
     step = Fraction(step)
@@ -147,17 +115,6 @@ def greedy_net(space: FiniteMetricSpace) -> Net:
     return Net(tuple(chosen))
 
 
-def net_is_valid(space: FiniteMetricSpace, net: Net) -> bool:
-    pts = net.indices
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            if space.dist(pts[a], pts[b]) <= 2:
-                return False
-    return all(
-        min(space.dist(i, u) for u in pts) <= 2 for i in range(space.n)
-    )
-
-
 def edge_witness(space: FiniteMetricSpace, u: int, v: int):
     """Lowest-index sample within 2 of both points, or None."""
     for x in range(space.n):
@@ -219,8 +176,18 @@ def write_sample_file(space: FiniteMetricSpace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _positive(field: str) -> None:
+    """Parser of a distance field for field_error: a rational above 0."""
+    if Fraction(field) <= 0:
+        raise ValueError(field)
+
+
 def parse_sample_file(text: str) -> FiniteMetricSpace:
-    """Parse the textual sample format; delta is the max nearest-neighbor gap."""
+    """Parse the textual sample format; delta is the max nearest-neighbor gap.
+
+    Each pair i < j must appear once with a positive distance; the triangle
+    inequality is not checked.
+    """
     lines = tokenize(text)
     lineno, fields = next(lines, (1, None))
     if fields is None:
@@ -237,18 +204,24 @@ def parse_sample_file(text: str) -> FiniteMetricSpace:
             raise field_error(text, lineno, fields, (), "expected 'i j num/den'")
         i, j, d = fields
         try:
-            entries.append((int(i), int(j), Fraction(d)))
+            entry = (lineno, int(i), int(j), Fraction(d))
         except (ValueError, ZeroDivisionError) as exc:
             raise field_error(text, lineno, fields, (int, int, Fraction), str(exc)) from exc
+        if entry[3].numerator <= 0:
+            raise field_error(text, lineno, fields, (int, int, _positive), f"distance {d} is not positive")
+        entries.append(entry)
     if len(entries) != n * (n - 1) // 2:
         raise InputError(
             f"expected {n * (n - 1) // 2} distance entries for {n} points, "
             f"got {len(entries)}"
         )
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for i, j, d in entries:
+    unset = Fraction(0)
+    mat = [[unset] * n for _ in range(n)]
+    for lineno, i, j, d in entries:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise InputError(f"bad point indices in entry ({i}, {j})")
+        if mat[i][j] is not unset:
+            raise field_error(text, lineno, (), (), f"pair ({i}, {j}) is given twice")
         mat[i][j] = d
         mat[j][i] = d
     space = FiniteMetricSpace(list(range(n)), mat, Fraction(0))

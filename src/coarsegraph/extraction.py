@@ -31,10 +31,7 @@ from .selector import TwoSelector, Witness, modulus, verify_selector
 class ExtractionState:
     """Working state of the line construction."""
 
-    r: int
     p: int
-    n: int
-    q: int
     c: int
     left: list[int] = field(default_factory=list)  # b-side then y-buffer, d(left[i], c) = i + 1
     right: list[int] = field(default_factory=list)  # a-side then x-buffer
@@ -51,22 +48,6 @@ class ExtractionState:
     @property
     def b_len(self) -> int:
         return len(self.left) - self.buffer_len
-
-    @property
-    def a_block(self) -> list[int]:
-        return self.right[: self.a_len]
-
-    @property
-    def x_block(self) -> list[int]:
-        return self.right[self.a_len :]
-
-    @property
-    def b_block(self) -> list[int]:
-        return self.left[: self.b_len]
-
-    @property
-    def y_block(self) -> list[int]:
-        return self.left[self.b_len :]
 
     def sequence(self) -> list[int]:
         return list(reversed(self.left)) + [self.c] + self.right
@@ -183,10 +164,7 @@ def extract_line(
 
     mid = 8 * p + 1
     state = ExtractionState(
-        r=r,
         p=p,
-        n=n,
-        q=q,
         c=seed[mid],
         left=list(reversed(seed[:mid])),
         right=list(seed[mid + 1 :]),

@@ -31,10 +31,6 @@ def grid_graph(width: int, height: int) -> Graph:
     return build_graph(edges, vertex_count=width * height)
 
 
-def grid_coordinates(width: int, height: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(width) for j in range(height)]
-
-
 def tripod_graph(a: int, b: int, c: int) -> Graph:
     """Center vertex 0 with three pendant arms of the given lengths."""
     edges = []

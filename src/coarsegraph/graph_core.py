@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,9 +81,6 @@ class Graph:
         self.adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
         self.duplicate_edges = duplicate_edges
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def closed_neighborhood(self, v: int) -> tuple[int, ...]:
         return tuple(sorted((v, *self.adjacency[v])))
 
@@ -94,30 +90,33 @@ class Graph:
     def edge_list(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.vertex_count) for v in self.adjacency[u] if u < v]
 
-    def edge_count(self) -> int:
-        return len(self.edge_list())
-
     def __repr__(self):
-        return f"Graph(n={self.vertex_count}, m={self.edge_count()})"
+        return f"Graph(n={self.vertex_count}, m={len(self.edge_list())})"
+
+
+def _bfs(adj, order: list[int], dist: list[int]) -> list[int]:
+    """Breadth-first search from the vertices in ``order``, in place.
+
+    ``dist`` holds 0 at the sources and -1 at every unvisited vertex; each
+    vertex reached gets its layer and is appended to ``order``, which is
+    read while it grows and returned as the visit order.
+    """
+    for x in order:
+        dx = dist[x] + 1
+        for w in adj[x]:
+            if dist[w] < 0:
+                dist[w] = dx
+                order.append(w)
+    return order
 
 
 def _components(n: int, adj) -> list[list[int]]:
-    seen = [False] * n
+    dist = [-1] * n
     out = []
     for s in range(n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(comp)
+        if dist[s] < 0:
+            dist[s] = 0
+            out.append(_bfs(adj, [s], dist))
     return out
 
 
@@ -180,18 +179,9 @@ class PathMetric:
         cached = self._rows.get(u)
         if cached is not None:
             return cached
-        n = self.graph.vertex_count
-        adj = self.graph.adjacency
-        dist = [-1] * n
+        dist = [-1] * self.graph.vertex_count
         dist[u] = 0
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            dx = dist[x] + 1
-            for w in adj[x]:
-                if dist[w] < 0:
-                    dist[w] = dx
-                    queue.append(w)
+        _bfs(self.graph.adjacency, [u], dist)
         self._rows[u] = dist
         return dist
 
@@ -202,12 +192,9 @@ class PathMetric:
         row = self.row(v)
         return {u for u, d in enumerate(row) if d <= radius}
 
-    def eccentricity(self, v: int) -> int:
-        return max(self.row(v))
-
     def diameter(self) -> int:
         if self._diameter is None:
-            self._diameter = max(self.eccentricity(v) for v in range(self.graph.vertex_count))
+            self._diameter = max(max(self.row(v)) for v in range(self.graph.vertex_count))
         return self._diameter
 
     def dense_matrix(self):
@@ -235,33 +222,14 @@ class PathMetric:
 
     def distances_from_set(self, sources) -> list[int]:
         """Multi-source BFS: distance from each vertex to the nearest source."""
-        n = self.graph.vertex_count
-        adj = self.graph.adjacency
-        dist = [-1] * n
-        queue = deque()
-        for s in sorted(set(sources)):
-            dist[s] = 0
-            queue.append(s)
-        if not queue:
+        order = sorted(set(sources))
+        if not order:
             raise ValueError("empty source set")
-        while queue:
-            x = queue.popleft()
-            dx = dist[x] + 1
-            for w in adj[x]:
-                if dist[w] < 0:
-                    dist[w] = dx
-                    queue.append(w)
+        dist = [-1] * self.graph.vertex_count
+        for s in order:
+            dist[s] = 0
+        _bfs(self.graph.adjacency, order, dist)
         return dist
-
-
-def distance(m: PathMetric, u: int, v: int) -> int:
-    """Length of a shortest u-v path."""
-    return m.distance(u, v)
-
-
-def ball(m: PathMetric, v: int, radius: int) -> set[int]:
-    """All vertices at distance <= radius from v."""
-    return m.ball(v, radius)
 
 
 @dataclass(frozen=True)
@@ -269,9 +237,6 @@ class GeodesicPath:
     """Vertex sequence v0..vm with consecutive edges and d(v0, vm) = m."""
 
     vertices: tuple[int, ...]
-
-    def length(self) -> int:
-        return len(self.vertices) - 1
 
     def validate(self, m: PathMetric) -> None:
         vs = self.vertices
@@ -302,28 +267,3 @@ def geodesic_between(m: PathMetric, u: int, v: int) -> GeodesicPath:
         path.append(cur)
     path.reverse()
     return GeodesicPath(tuple(path))
-
-
-@dataclass(frozen=True)
-class MetricEntourage:
-    """Radius-indexed entourage {(x, y): d(x, y) <= radius}."""
-
-    radius: int
-
-    def ball(self, m: PathMetric, x: int) -> set[int]:
-        return m.ball(x, self.radius)
-
-    def contains(self, m: PathMetric, x: int, y: int) -> bool:
-        return m.distance(x, y) <= self.radius
-
-
-def entourage_algebra(r: int, s: int) -> int:
-    """Radius of the composition of the radius-r and radius-s entourages.
-
-    The composite relation {(x,y): exists z, d(x,z)<=r, d(z,y)<=s} is
-    contained in the radius r+s entourage; r+s is returned as the composite
-    radius.  Radius 0 (the diagonal) is neutral.
-    """
-    if r < 0 or s < 0:
-        raise ValueError("entourage radii are nonnegative")
-    return r + s

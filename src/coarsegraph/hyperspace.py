@@ -52,25 +52,6 @@ def hausdorff_distance(m: PathMetric, A, B) -> int:
     return best
 
 
-def exp_contains(m: PathMetric, A, B, radius: int) -> bool:
-    """True iff A lies in the radius-ball of B and B in the radius-ball of A.
-
-    Implemented as the literal double inclusion, independently of
-    hausdorff_distance; the two must agree (d_H(A, B) <= radius).
-    """
-    A = subset(A)
-    B = subset(B)
-    for a in A:
-        row = m.row(a)
-        if all(row[b] > radius for b in B):
-            return False
-    for b in B:
-        row = m.row(b)
-        if all(row[a] > radius for a in A):
-            return False
-    return True
-
-
 def neighborhood_table(g: Graph, vertices) -> np.ndarray:
     """Sorted closed neighbourhoods N[v] of ``vertices``, one int64 row each.
 

@@ -108,11 +108,6 @@ def min_compat_radius(
     return CompatibilityReport(e, NotFound(cap), _violations_at(m, order, e, cap))
 
 
-def holds_at(m: PathMetric, order: LinearOrder, e: int, g: int) -> bool:
-    """Whether the compatibility condition holds at radius g (any g >= 0)."""
-    return not _violations_at(m, order, e, g, limit=1)
-
-
 @dataclass(frozen=True)
 class Counterexample:
     x: int

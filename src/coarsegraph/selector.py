@@ -23,8 +23,6 @@ class InvalidSelector(InputError):
     pass
 
 
-# Extensional tables are only materialized up to this many pairs.
-PAIR_TABLE_CAP = 200_000
 BLOCK_ELEMENTS = 1 << 16  # (pair, slot, slot) entries per block of the scan
 
 
@@ -260,15 +258,6 @@ def witness_is_violation(m: PathMetric, f: TwoSelector, r: int, pair_a, pair_b) 
     return m.distance(f.choose_pair(pa), f.choose_pair(pb)) > r
 
 
-def materialize_table(m: PathMetric, f: TwoSelector, cap: int = PAIR_TABLE_CAP) -> dict:
-    """Extensional form of a selector, for graphs under the pair cap."""
-    n = m.graph.vertex_count
-    pairs = n * (n - 1) // 2
-    if pairs > cap:
-        raise InvalidSelector(f"{pairs} pairs exceed table cap {cap}")
-    return {(a, b): f.choose(a, b) for a in range(n) for b in range(a + 1, n)}
-
-
 __all__ = [
     "BornologousSelector",
     "Holds",
@@ -279,7 +268,6 @@ __all__ = [
     "TwoSelector",
     "Witness",
     "lift_bornologous",
-    "materialize_table",
     "min_selector",
     "modulus",
     "order_to_selector",

@@ -47,6 +47,23 @@ def brute_hausdorff(dist, A, B):
     return out
 
 
+def exp_contains(m, A, B, radius: int) -> bool:
+    """True iff A lies in the radius-ball of B and B in the radius-ball of A.
+
+    The literal double inclusion, independent of hausdorff_distance; the
+    two must agree (d_H(A, B) <= radius).
+    """
+    for a in A:
+        row = m.row(a)
+        if all(row[b] > radius for b in B):
+            return False
+    for b in B:
+        row = m.row(b)
+        if all(row[a] > radius for a in A):
+            return False
+    return True
+
+
 def random_tournament(graph, rng: random.Random):
     n = graph.vertex_count
     table = {}

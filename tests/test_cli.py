@@ -223,6 +223,32 @@ def test_missing_graph_is_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("points 3\n0 1 1\n0 1 1\n1 2 1\n", "line 3, column 1: pair (0, 1) is given twice"),
+        ("points 2\n0 1 -5\n", "line 2, column 5: distance -5 is not positive"),
+    ],
+    ids=["pair-twice", "negative-distance"],
+)
+def test_net_certify_refuses_a_sample_that_is_not_a_metric(capsys, tmp_path, text, message):
+    sample = tmp_path / "in.sample"
+    sample.write_text(text)
+    code, out = _capture(capsys, ["net", "certify", "--sample", str(sample)])
+    assert code == 2
+    assert json.loads(out)["error"] == message
+
+
+def test_selector_from_order_natural_is_the_min_selector(capsys):
+    reports = []
+    for argv in (["from-order", "--order", "natural"], ["min"]):
+        code, out = _capture(capsys, ["selector", *argv, "--generate", "path:6"])
+        assert code == 0
+        reports.append(json.loads(out)["outcome"])
+    assert reports[0]["r"] == reports[1]["r"]
+    assert reports[0]["table"] == reports[1]["table"]
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run(["--version"])

@@ -13,7 +13,6 @@ from coarsegraph.discretize import (
     edge_witness,
     greedy_net,
     net_graph,
-    net_is_valid,
     parse_sample_file,
     sample_space,
     write_sample_file,
@@ -22,13 +21,50 @@ from coarsegraph.discretize import (
 HALF = Fraction(1, 2)
 
 
+def check_metric_axioms(sp):
+    """Zero diagonal, symmetry, positivity off the diagonal and the triangle inequality."""
+    d, n = sp.dist_matrix, sp.n
+    for i in range(n):
+        assert d[i][i] == 0
+        for j in range(n):
+            assert d[i][j] == d[j][i]
+            assert i == j or d[i][j] > 0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                assert d[i][k] <= d[i][j] + d[j][k], (i, j, k)
+
+
+def is_chain_connected(sp) -> bool:
+    """Every pair joined by a chain with steps <= delta."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(sp.n):
+            if j not in seen and sp.dist(i, j) <= sp.delta:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == sp.n
+
+
+def net_is_valid(sp, net) -> bool:
+    """Net points pairwise beyond 2, and every sample within 2 of one."""
+    pts = net.indices
+    for a in range(len(pts)):
+        for b in range(a + 1, len(pts)):
+            if sp.dist(pts[a], pts[b]) <= 2:
+                return False
+    return all(min(sp.dist(i, u) for u in pts) <= 2 for i in range(sp.n))
+
+
 def test_segment_sampling():
     sp = sample_space(("segment", 10), HALF)
     assert sp.n == 21
     assert sp.dist(0, 20) == 10
     assert sp.dist(3, 7) == 2
-    sp.check_metric_axioms()
-    assert sp.is_chain_connected()
+    check_metric_axioms(sp)
+    assert is_chain_connected(sp)
 
 
 def test_circle_sampling():
@@ -36,7 +72,7 @@ def test_circle_sampling():
     assert sp.n == 24
     assert sp.dist(0, 12) == 6
     assert sp.dist(0, 23) == HALF
-    sp.check_metric_axioms()
+    check_metric_axioms(sp)
 
 
 def test_rectangle_sampling_matches_grid_bfs():

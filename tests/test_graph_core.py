@@ -2,17 +2,16 @@ from __future__ import annotations
 
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coarsegraph import (
     DisconnectedGraph,
     GraphError,
-    MetricEntourage,
     PathMetric,
     SelfLoop,
     build_graph,
-    entourage_algebra,
     geodesic_between,
 )
 from coarsegraph.generators import grid_graph, path_graph, tripod_graph
@@ -106,29 +105,22 @@ def test_geodesic_invariants_everywhere():
             geodesic_between(m, u, v).validate(m)
 
 
-def test_entourage_algebra_values():
-    assert entourage_algebra(1, 1) == 2
-    assert entourage_algebra(0, 5) == 5
-
-
 def test_entourage_composition_containment_on_p6():
     m = PathMetric(path_graph(6))
     r, s = 1, 2
-    comp = entourage_algebra(r, s)
     for x in range(6):
         reachable = {
             y
             for z in m.ball(x, r)
             for y in m.ball(z, s)
         }
-        assert reachable <= m.ball(x, comp)
+        assert reachable <= m.ball(x, r + s)
 
 
 def test_entourage_ball_radius_zero():
     m = PathMetric(path_graph(5))
-    e = MetricEntourage(0)
     for x in range(5):
-        assert e.ball(m, x) == {x}
+        assert m.ball(x, 0) == {x}
 
 
 def _metric_axioms(m):
@@ -178,3 +170,41 @@ def test_distances_from_set():
     m = PathMetric(path_graph(10))
     d = m.distances_from_set([0, 9])
     assert d == [0, 1, 2, 3, 4, 4, 3, 2, 1, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(), st.randoms(use_true_random=False))
+def test_bfs_rows_and_multi_source_match_floyd_warshall(g, rng):
+    n = g.vertex_count
+    m = PathMetric(g)
+    oracle = floyd_warshall(n, g.edge_list())
+    for u in range(n):
+        assert m.row(u) == oracle[u]
+    sources = rng.sample(range(n), rng.randint(1, n))
+    assert m.distances_from_set(sources) == [min(oracle[s][v] for s in sources) for v in range(n)]
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): distinct edges on 0..n-1, connected or not."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    all_edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    if not all_edges:
+        return n, []
+    return n, draw(st.lists(st.sampled_from(all_edges), unique=True, max_size=10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_lists())
+def test_build_graph_components_match_networkx(drawn):
+    n, edges = drawn
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(edges)
+    expected = sorted(sorted(c) for c in nx.connected_components(G))
+    if len(expected) == 1:
+        assert build_graph(edges, vertex_count=n).vertex_count == n
+    else:
+        with pytest.raises(DisconnectedGraph) as err:
+            build_graph(edges, vertex_count=n)
+        assert sorted(err.value.components) == expected

@@ -4,11 +4,11 @@ import itertools
 
 import pytest
 
-from coarsegraph import PathMetric, exp_contains, hausdorff_distance, pair_neighbors
+from coarsegraph import PathMetric, hausdorff_distance, pair_neighbors
 from coarsegraph.hyperspace import EmptySet, neighbor_pair_candidates, vpair
 from coarsegraph.generators import cycle_graph, grid_graph, path_graph, tripod_graph
 
-from conftest import brute_hausdorff, floyd_warshall
+from conftest import brute_hausdorff, exp_contains, floyd_warshall
 
 
 def _small_family():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from coarsegraph import PathMetric
@@ -8,11 +10,24 @@ from coarsegraph.order_compat import (
     LinearOrder,
     MinimalG,
     NotFound,
-    holds_at,
     is_interval_entourage,
     min_compat_radius,
 )
 from coarsegraph.generators import grid_graph, path_graph
+
+
+def holds_at(m, order, e, g):
+    """The compatibility condition at radius g, checked triple by triple.
+
+    For x, y with d(x, y) > g, every x' within e of x stays on x's side of y.
+    """
+    less = order.less
+    for x, y in itertools.permutations(range(m.graph.vertex_count), 2):
+        if m.distance(x, y) > g:
+            for xp in m.ball(x, e):
+                if (less(x, y) and not less(xp, y)) or (less(y, x) and not less(y, xp)):
+                    return False
+    return True
 
 
 def test_e_zero_is_always_zero():
