@@ -3,12 +3,15 @@
 Every subcommand prints one JSON report to stdout.  Exit codes: 0 success,
 1 verification failure (a witness, failure point, falsification or
 disconnected net), 2 input error: any ``InputError``, argparse usage errors
-included, caught once in ``run``.  Reports are byte-identical across runs
-for identical inputs and flags; timing is only recorded under --timing.
+included, caught once in ``run``.  Option ranges (the nonnegative radii and
+step bounds) are checked by the parser as it reads each option.  Reports are
+byte-identical across runs for identical inputs and flags; timing is only
+recorded under --timing.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -134,8 +137,7 @@ def load_selector(args, graph: Graph) -> TwoSelector:
         return selector_mod.min_selector(list(range(graph.vertex_count)))
     kind, _, path = spec.partition(":")
     if kind == "order":
-        order = parse_order_file(_read(args, path), graph.vertex_count)
-        return selector_mod.order_to_selector(order)
+        return selector_mod.order_to_selector(_load_order(args, path, graph.vertex_count))
     if kind == "file":
         table = parse_selector_file(_read(args, path), graph.vertex_count)
         return selector_mod.selector_from_table(table)
@@ -249,16 +251,9 @@ def cmd_selector_modulus(args):
 
 
 def cmd_selector_verify(args):
-    _check_radii(args, "r")
     _, m, f = _load_graph_and_selector(args)
-    verdict = selector_mod.verify_selector(m, f, args.r)
-    if isinstance(verdict, Holds):
-        return {"r": args.r, "verdict": "holds"}, 0
-    return {
-        "r": args.r,
-        "verdict": "witness",
-        "witness": _witness_payload((verdict.pair_a, verdict.pair_b)),
-    }, 1
+    payload, code = _outcome_payload(selector_mod.verify_selector(m, f, args.r))
+    return {"r": args.r, **payload}, code
 
 
 def cmd_selector_table(args):
@@ -269,7 +264,7 @@ def cmd_selector_table(args):
     if args.subcommand == "min":
         f = selector_mod.min_selector(list(range(n)))
     else:
-        f = selector_mod.order_to_selector(_load_order(args, n))
+        f = selector_mod.order_to_selector(_load_order(args, args.order, n))
     r = selector_mod.modulus(m, f).r
     table = None
     if n * (n - 1) // 2 <= TABLE_PAIR_CAP:
@@ -278,7 +273,6 @@ def cmd_selector_table(args):
 
 
 def cmd_selector_search(args):
-    _check_radii(args, "r_cap")
     g = load_graph(args)
     outcomes = search.min_modulus_search(g, args.r_cap, node_budget=args.budget)
     payload = []
@@ -296,7 +290,8 @@ def cmd_selector_search(args):
     }, 0
 
 
-def _claim_outcome_payload(outcome):
+def _outcome_payload(outcome):
+    """The verdict fields of a selector or claim outcome, and its exit code."""
     if isinstance(outcome, Holds):
         return {"verdict": "holds"}, 0
     if isinstance(outcome, Witness):
@@ -313,45 +308,32 @@ def _claim_outcome_payload(outcome):
     raise InvariantError(f"unknown outcome {outcome!r}")
 
 
-def _check_radii(args, *names) -> None:
-    """Radii and step bounds are nonnegative; an omitted one is None."""
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and value < 0:
-            flag = "--" + name.replace("_", "-")
-            raise InputError(f"{flag} must be nonnegative, got {value}")
-
-
 def cmd_claims_c1(args):
-    _check_radii(args, "r", "p")
     g, m, f = _load_graph_and_selector(args)
     for v in (args.v, args.a, args.b):
         _check_vertex(g, v)
     outcome = claims_mod.claim1_propagate(m, f, args.r, args.v, args.a, args.b, args.p)
-    return _claim_outcome_payload(outcome)
+    return _outcome_payload(outcome)
 
 
 def cmd_claims_c2(args):
-    _check_radii(args, "r", "p")
     g, m, f = _load_graph_and_selector(args)
     config = claims_mod.ClaimConfig(
         v=_check_vertex(g, args.v), z=tuple(_vertex_list(args.z, g)), p=args.p
     )
     outcome = claims_mod.claim2_check(m, f, args.r, config)
-    return _claim_outcome_payload(outcome)
+    return _outcome_payload(outcome)
 
 
 def cmd_claims_c3(args):
-    _check_radii(args, "r", "p", "q")
     g, m, f = _load_graph_and_selector(args)
     outcome = claims_mod.claim3_side(
         m, f, args.r, _vertex_list(args.z, g), _check_vertex(g, args.v), args.p, q=args.q
     )
-    return _claim_outcome_payload(outcome)
+    return _outcome_payload(outcome)
 
 
 def cmd_extract(args):
-    _check_radii(args, "assert_r")
     _, m, f = _load_graph_and_selector(args)
     result = extraction.extract_line(m, f, r=args.assert_r)
     diag = dict(result.diagnostics)
@@ -475,34 +457,33 @@ def cmd_sample(args):
     }, 0
 
 
-def _load_order(args, n: int) -> order_compat.LinearOrder:
-    if args.order == "natural" or args.order is None:
+def _load_order(args, spec: str | None, n: int) -> order_compat.LinearOrder:
+    """The order ``spec`` names: 'natural' (or no order at all) or an order file."""
+    if spec in ("natural", None):
         return order_compat.LinearOrder.natural(n)
-    return parse_order_file(_read(args, args.order), n)
+    return parse_order_file(_read(args, spec), n)
 
 
 def cmd_order_compat(args):
-    _check_radii(args, "e")
     g = load_graph(args)
     m = PathMetric(g)
-    order = _load_order(args, g.vertex_count)
+    order = _load_order(args, args.order, g.vertex_count)
     report = order_compat.min_compat_radius(m, order, args.e, cap=args.cap)
     f = selector_mod.order_to_selector(order)
     sel_r = selector_mod.modulus(m, f).r if g.vertex_count >= 2 else 0
     payload = {"e": report.e, "order_selector_modulus": sel_r}
     if isinstance(report.result, order_compat.MinimalG):
         payload["result"] = {"g": report.result.g}
-        return payload, 0
-    payload["result"] = {"not_found_cap": report.result.cap}
-    payload["violations"] = [list(t) for t in report.violations]
+    else:
+        payload["result"] = {"not_found_cap": report.result.cap}
+        payload["violations"] = [list(t) for t in report.violations]
     return payload, 0
 
 
 def cmd_order_interval(args):
-    _check_radii(args, "e")
     g = load_graph(args)
     m = PathMetric(g)
-    order = _load_order(args, g.vertex_count)
+    order = _load_order(args, args.order, g.vertex_count)
     verdict = order_compat.is_interval_entourage(m, order, args.e)
     if verdict is True:
         return {"e": args.e, "interval": True}, 0
@@ -527,113 +508,115 @@ class _Parser(argparse.ArgumentParser):
         raise exc
 
 
+class _Nonnegative(argparse.Action):
+    """An int option that must be nonnegative, checked as the parser reads it."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            parser.error(f"{self.option_strings[0]} must be nonnegative, got {value}")
+        setattr(namespace, self.dest, value)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process and reused by every ``run``.
+
+    Options shared by several leaves are declared once, in parent parsers;
+    each ``*_input`` parent adds its options to those of the one it extends.
+    """
+
+    def parent(*parents) -> _Parser:
+        return _Parser(add_help=False, parents=parents)
+
+    def leaf(subparsers, name, func, *parents, **kwargs) -> _Parser:
+        p = subparsers.add_parser(name, parents=parents, **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    graph = parent()
+    graph.add_argument("--graph", help="edge list file: one 'u v' per line")
+    graph.add_argument("--generate", help="path:N | cycle:N | grid:WxH | tripod:A,B,C | comb:S,T")
+    timing = parent()
+    timing.add_argument("--timing", action="store_true", help="record wall time in the report")
+    graph_input = parent(graph, timing)
+    selector_input = parent(graph_input)
+    selector_input.add_argument("--selector", required=True)
+    radius_input = parent(selector_input)
+    radius_input.add_argument("--r", type=int, action=_Nonnegative, required=True)
+    claim_input = parent(radius_input)
+    claim_input.add_argument("--p", type=int, action=_Nonnegative, required=True)
+    claim_input.add_argument("--v", type=int, required=True)
+    order_input = parent(graph_input)
+    order_input.add_argument("--order", help="order file, or 'natural'")
+    order_input.add_argument("--e", type=int, action=_Nonnegative, required=True)
+
+    def shape(required: bool) -> _Parser:
+        p = parent()
+        p.add_argument("--shape", required=required, help="segment:L | circle:C | rectangle:WxH")
+        p.add_argument("--step", default="1/2")
+        return p
+
     parser = _Parser(prog="coarsegraph")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def graph_opts(p):
-        p.add_argument("--graph", help="edge list file: one 'u v' per line")
-        p.add_argument("--generate", help="path:N | cycle:N | grid:WxH | tripod:A,B,C | comb:S,T")
-        p.add_argument("--timing", action="store_true", help="record wall time in the report")
-
-    p = sub.add_parser("metric", help="distances and geodesics")
-    graph_opts(p)
+    p = leaf(sub, "metric", cmd_metric, graph_input, help="distances and geodesics")
     p.add_argument("--pairs", action="append", required=True, metavar="U,V")
     p.add_argument("--geodesic", action="store_true")
-    p.set_defaults(func=cmd_metric)
 
-    p = sub.add_parser("hausdorff", help="Hausdorff distance between vertex sets")
-    graph_opts(p)
+    p = leaf(sub, "hausdorff", cmd_hausdorff, graph_input, help="Hausdorff distance between vertex sets")
     p.add_argument("--set-a", required=True)
     p.add_argument("--set-b", required=True)
     p.add_argument("--neighbors-of", help="also list all pairs within d_H 1 of this pair")
-    p.set_defaults(func=cmd_hausdorff)
 
     ps = sub.add_parser("selector", help="selector operations")
     ssub = ps.add_subparsers(dest="subcommand", required=True)
-    for name, func in (
-        ("modulus", cmd_selector_modulus),
-        ("verify", cmd_selector_verify),
-        ("min", cmd_selector_table),
-        ("from-order", cmd_selector_table),
-        ("search", cmd_selector_search),
-    ):
-        q = ssub.add_parser(name)
-        graph_opts(q)
-        if name in ("modulus", "verify"):
-            q.add_argument("--selector", required=True)
-        if name == "verify":
-            q.add_argument("--r", type=int, required=True)
-        if name == "from-order":
-            q.add_argument("--order", required=True, help="order file, or 'natural'")
-        if name == "search":
-            q.add_argument("--r-cap", type=int, required=True)
-            q.add_argument("--budget", type=int, default=500_000)
-        q.set_defaults(func=func)
+    leaf(ssub, "modulus", cmd_selector_modulus, selector_input)
+    leaf(ssub, "verify", cmd_selector_verify, radius_input)
+    leaf(ssub, "min", cmd_selector_table, graph_input)
+    q = leaf(ssub, "from-order", cmd_selector_table, graph_input)
+    q.add_argument("--order", required=True, help="order file, or 'natural'")
+    q = leaf(ssub, "search", cmd_selector_search, graph_input)
+    q.add_argument("--r-cap", type=int, action=_Nonnegative, required=True)
+    q.add_argument("--budget", type=int, default=500_000)
 
     pc = sub.add_parser("claims", help="consistency checks against a claimed modulus")
     csub = pc.add_subparsers(dest="subcommand", required=True)
-    for name, func in (("c1", cmd_claims_c1), ("c2", cmd_claims_c2), ("c3", cmd_claims_c3)):
-        q = csub.add_parser(name)
-        graph_opts(q)
-        q.add_argument("--selector", required=True)
-        q.add_argument("--r", type=int, required=True)
-        q.add_argument("--p", type=int, required=True)
-        q.add_argument("--v", type=int, required=True)
-        if name == "c1":
-            q.add_argument("--a", type=int, required=True)
-            q.add_argument("--b", type=int, required=True)
-        else:
-            q.add_argument("--z", required=True, metavar="Z0,Z1,...")
-        if name == "c3":
-            q.add_argument("--q", type=int, default=None)
-        q.set_defaults(func=func)
+    q = leaf(csub, "c1", cmd_claims_c1, claim_input)
+    q.add_argument("--a", type=int, required=True)
+    q.add_argument("--b", type=int, required=True)
+    q = leaf(csub, "c2", cmd_claims_c2, claim_input)
+    q.add_argument("--z", required=True, metavar="Z0,Z1,...")
+    q = leaf(csub, "c3", cmd_claims_c3, claim_input)
+    q.add_argument("--z", required=True, metavar="Z0,Z1,...")
+    q.add_argument("--q", type=int, action=_Nonnegative, default=None)
 
-    p = sub.add_parser("extract", help="coarse ray/line extraction")
-    graph_opts(p)
-    p.add_argument("--selector", required=True)
-    p.add_argument("--assert-r", type=int, default=None)
-    p.set_defaults(func=cmd_extract)
+    p = leaf(sub, "extract", cmd_extract, selector_input, help="coarse ray/line extraction")
+    p.add_argument("--assert-r", type=int, action=_Nonnegative, default=None)
 
     pq = sub.add_parser("qi", help="quasi-isometry certificates")
     qsub = pq.add_subparsers(dest="subcommand", required=True)
-    q = qsub.add_parser("verify")
-    graph_opts(q)
+    q = leaf(qsub, "verify", cmd_qi_verify, graph_input)
     q.add_argument("--cert", help="JSON report or certificate block")
     q.add_argument("--coord", help="file with 'vertex value' lines")
     q.add_argument("--lam", default="1")
     q.add_argument("--C", dest="c_const", type=int, default=0)
     q.add_argument("--D", dest="d_const", type=int, default=0)
-    q.set_defaults(func=cmd_qi_verify)
 
     pn = sub.add_parser("net", help="separation nets on metric samples")
     nsub = pn.add_subparsers(dest="subcommand", required=True)
+    net_shape = shape(required=False)
     for name in ("build", "certify"):
-        q = nsub.add_parser(name)
-        q.add_argument("--shape", help="segment:L | circle:C | rectangle:WxH")
-        q.add_argument("--step", default="1/2")
-        q.add_argument("--sample", help="metric sample file")
-        q.add_argument("--timing", action="store_true")
-        q.set_defaults(func=cmd_net)
+        leaf(nsub, name, cmd_net, net_shape, timing).add_argument("--sample", help="metric sample file")
 
-    p = sub.add_parser("sample", help="emit a metric sample file")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--step", default="1/2")
+    p = leaf(sub, "sample", cmd_sample, shape(required=True), timing, help="emit a metric sample file")
     p.add_argument("--out")
-    p.add_argument("--timing", action="store_true")
-    p.set_defaults(func=cmd_sample, sample=None)
+    p.set_defaults(sample=None)
 
     po = sub.add_parser("order", help="order compatibility")
     osub = po.add_subparsers(dest="subcommand", required=True)
-    for name, func in (("compat", cmd_order_compat), ("interval", cmd_order_interval)):
-        q = osub.add_parser(name)
-        graph_opts(q)
-        q.add_argument("--order", help="order file, or 'natural'")
-        q.add_argument("--e", type=int, required=True)
-        if name == "compat":
-            q.add_argument("--cap", type=int, default=None)
-        q.set_defaults(func=func)
+    leaf(osub, "compat", cmd_order_compat, order_input).add_argument("--cap", type=int, default=None)
+    leaf(osub, "interval", cmd_order_interval, order_input)
 
     return parser
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .graph_core import (
     DisconnectedGraph, Graph, InputError, PathMetric, build_graph, field_error, tokenize
@@ -182,6 +183,12 @@ def _positive(field: str) -> None:
         raise ValueError(field)
 
 
+def _point(n: int, field: str, other: int | None = None) -> None:
+    """Parser of an index field for field_error: a point 0..n-1 other than ``other``."""
+    if not 0 <= int(field) < n or int(field) == other:
+        raise ValueError(field)
+
+
 def parse_sample_file(text: str) -> FiniteMetricSpace:
     """Parse the textual sample format; delta is the max nearest-neighbor gap.
 
@@ -198,32 +205,30 @@ def parse_sample_file(text: str) -> FiniteMetricSpace:
         n = int(fields[1])
     except ValueError as exc:
         raise field_error(text, lineno, fields, (str, int), str(exc)) from exc
-    entries = []
+    dist = {}
     for lineno, fields in lines:
         if len(fields) != 3:
             raise field_error(text, lineno, fields, (), "expected 'i j num/den'")
-        i, j, d = fields
         try:
-            entry = (lineno, int(i), int(j), Fraction(d))
+            i, j, d = int(fields[0]), int(fields[1]), Fraction(fields[2])
         except (ValueError, ZeroDivisionError) as exc:
             raise field_error(text, lineno, fields, (int, int, Fraction), str(exc)) from exc
-        if entry[3].numerator <= 0:
-            raise field_error(text, lineno, fields, (int, int, _positive), f"distance {d} is not positive")
-        entries.append(entry)
-    if len(entries) != n * (n - 1) // 2:
+        if d <= 0:
+            raise field_error(text, lineno, fields, (int, int, _positive), f"distance {fields[2]} is not positive")
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            message = f"bad point indices in entry ({i}, {j})"
+            raise field_error(text, lineno, fields, (partial(_point, n), partial(_point, n, other=i)), message)
+        if (min(i, j), max(i, j)) in dist:
+            raise field_error(text, lineno, (), (), f"pair ({i}, {j}) is given twice")
+        dist[min(i, j), max(i, j)] = d
+    if len(dist) != n * (n - 1) // 2:
         raise InputError(
             f"expected {n * (n - 1) // 2} distance entries for {n} points, "
-            f"got {len(entries)}"
+            f"got {len(dist)}"
         )
-    unset = Fraction(0)
-    mat = [[unset] * n for _ in range(n)]
-    for lineno, i, j, d in entries:
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise InputError(f"bad point indices in entry ({i}, {j})")
-        if mat[i][j] is not unset:
-            raise field_error(text, lineno, (), (), f"pair ({i}, {j}) is given twice")
-        mat[i][j] = d
-        mat[j][i] = d
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), d in dist.items():
+        mat[i][j] = mat[j][i] = d
     space = FiniteMetricSpace(list(range(n)), mat, Fraction(0))
     if n > 1:
         delta = max(

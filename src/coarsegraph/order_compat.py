@@ -95,16 +95,24 @@ def min_compat_radius(
 ) -> CompatibilityReport:
     """Smallest g in [e, cap] making radius-e perturbations order-safe.
 
-    Searched among metric radii only; cap defaults to max(e, diameter).
-    Returns NotFound with the violating triples at the cap otherwise.
+    A pair x != y is rank-unsafe when y's rank is in the rank span of the
+    e-ball of x, whatever g is; it breaks the condition at g iff d(x, y) > g.
+    So g is max(e, the largest d over unsafe pairs), found in one scan; cap
+    defaults to max(e, diameter), and past it the result is NotFound with the
+    violating triples at the cap.
     """
     if cap is None:
         cap = max(e, m.diameter())
     if cap < e:
         raise InputError("cap must be at least e")
-    for g in range(e, cap + 1):
-        if not _violations_at(m, order, e, g, limit=1):
-            return CompatibilityReport(e, MinimalG(g), [])
+    by_rank = order.vertices_by_rank()
+    g = e
+    for x in range(m.graph.vertex_count):
+        ranks = [order.rank[u] for u in m.ball(x, e)]
+        row = m.row(x)
+        g = max(g, max(row[by_rank[pos]] for pos in range(min(ranks), max(ranks) + 1)))
+    if g <= cap:
+        return CompatibilityReport(e, MinimalG(g), [])
     return CompatibilityReport(e, NotFound(cap), _violations_at(m, order, e, cap))
 
 

@@ -249,6 +249,39 @@ def test_selector_from_order_natural_is_the_min_selector(capsys):
     assert reports[0]["table"] == reports[1]["table"]
 
 
+def test_selector_order_natural_is_the_min_selector(capsys):
+    reports = []
+    for spec in ("order:natural", "min"):
+        code, out = _capture(capsys, ["selector", "modulus", "--generate", "path:6", "--selector", spec])
+        assert code == 0
+        reports.append(json.loads(out)["outcome"])
+    assert reports[0] == reports[1]
+
+
+def test_reused_parser_keeps_no_state_between_runs(capsys):
+    pairs_twice = ["metric", "--generate", "path:5", "--pairs", "0,4", "--pairs", "1,2"]
+    sequence = [
+        ["metric", "--generate", "path:4", "--pairs", "0,3"],
+        ["selector", "verify", "--generate", "path:6", "--selector", "min"],
+        ["selector", "modulus", "--generate", "path:4", "--selector", "min", "--x"],
+        ["selector", "verify", "--generate", "path:6", "--selector", "min", "--r", "-1"],
+        ["metric", "--generate", "bogus:3", "--pairs", "0,1"],
+        pairs_twice,
+        ["selector", "verify", "--generate", "path:6", "--selector", "min", "--r", "1", "--timing"],
+    ]
+    reports = []
+    for argv in sequence + sequence:
+        code, out = _capture(capsys, argv)
+        report = json.loads(out)
+        if report.get("timing_ms") is not None:
+            report["timing_ms"] = "masked"
+        reports.append((code, report))
+        if argv is pairs_twice:
+            assert len(report["outcome"]["distances"]) == 2
+    assert [code for code, _ in reports[: len(sequence)]] == [0, 2, 2, 2, 2, 0, 0]
+    assert reports[len(sequence):] == reports[: len(sequence)]
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run(["--version"])

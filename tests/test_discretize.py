@@ -261,6 +261,21 @@ def test_sample_file_errors_name_position():
         parse_sample_file("points 2\n0 1 1/0\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("points 2\n0 5 1\n", "line 2, column 3: bad point indices in entry (0, 5)"),
+        ("points 3\n0 1 1\n -1 2 1\n", "line 3, column 2: bad point indices in entry (-1, 2)"),
+        ("points 2\n1  1 1\n", "line 2, column 4: bad point indices in entry (1, 1)"),
+    ],
+    ids=["out-of-range", "negative", "equal"],
+)
+def test_sample_file_index_errors_name_position(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_sample_file(text)
+    assert str(exc.value) == message
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(

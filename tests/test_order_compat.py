@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coarsegraph import PathMetric
 from coarsegraph.order_compat import (
@@ -10,10 +12,12 @@ from coarsegraph.order_compat import (
     LinearOrder,
     MinimalG,
     NotFound,
+    _violations_at,
     is_interval_entourage,
     min_compat_radius,
 )
 from coarsegraph.generators import grid_graph, path_graph
+from test_graph_core import connected_graphs
 
 
 def holds_at(m, order, e, g):
@@ -28,6 +32,33 @@ def holds_at(m, order, e, g):
                 if (less(x, y) and not less(xp, y)) or (less(y, x) and not less(y, xp)):
                     return False
     return True
+
+
+def min_compat_by_g(m, order, e, cap):
+    """Oracle: the first g from e up to cap with no violation, else NotFound."""
+    for g in range(e, cap + 1):
+        if not _violations_at(m, order, e, g, limit=1):
+            return MinimalG(g)
+    return NotFound(cap)
+
+
+@st.composite
+def compat_cases(draw):
+    g = draw(connected_graphs())
+    order = LinearOrder.from_ranking(draw(st.permutations(range(g.vertex_count))))
+    e = draw(st.integers(0, 3))
+    return g, order, e, draw(st.none() | st.integers(e, e + 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(compat_cases())
+@example((grid_graph(3, 3), LinearOrder.natural(9), 1, 2)).via("NotFound")
+@example((grid_graph(3, 3), LinearOrder.natural(9), 1, None)).via("MinimalG")
+def test_one_pass_matches_the_g_loop(case):
+    g, order, e, cap = case
+    m = PathMetric(g)
+    report = min_compat_radius(m, order, e, cap=cap)
+    assert report.result == min_compat_by_g(m, order, e, max(e, m.diameter()) if cap is None else cap)
 
 
 def test_e_zero_is_always_zero():
