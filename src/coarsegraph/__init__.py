@@ -50,7 +50,7 @@ from .claims import (
     claim2_check,
     claim3_side,
 )
-from .extraction import Bounded, ExtractionState, Falsified, Line, Ray, extract_line
+from .extraction import Bounded, Falsified, Line, Ray, extract_line
 from .qi_cert import FailurePoint, QuasiIsometryCert, Valid, tighten, verify_qi
 from .discretize import (
     DisconnectedNetGraph,

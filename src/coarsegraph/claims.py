@@ -36,15 +36,12 @@ class RightEnd:
 class ClaimConfig:
     """A probe vertex against a chain with step bound p.
 
-    ``z`` is a vertex sequence with consecutive distances <= p.  The
-    optional ``geodesic`` runs from v to the chain vertex nearest to v; it
-    is recomputed deterministically when omitted.
+    ``z`` is a vertex sequence with consecutive distances <= p.
     """
 
     v: int
     z: tuple[int, ...]
     p: int
-    geodesic: tuple[int, ...] | None = None
 
 
 def _chain_vertices(m: PathMetric, anchors) -> list[int]:
@@ -69,10 +66,10 @@ def _chain_unmet(m: PathMetric, zs, p: int) -> HypothesisUnmet | None:
 
 def _first_break(m: PathMetric, f: TwoSelector, r: int, pairs):
     """First consecutive step whose images are more than r apart."""
-    prev = None
-    prev_choice = None
-    for cur in pairs:
-        if prev is not None and cur != prev:
+    prev = pairs[0]
+    prev_choice = f.choose_pair(prev)
+    for cur in pairs[1:]:
+        if cur != prev:
             choice = f.choose_pair(cur)
             if m.distance(prev_choice, choice) > r:
                 # chains move one element along an edge, so the witness
@@ -81,9 +78,6 @@ def _first_break(m: PathMetric, f: TwoSelector, r: int, pairs):
                     raise InvariantError(f"chain step {prev} -> {cur} is not a d_H <= 1 move")
                 return Witness(prev, cur)
             prev, prev_choice = cur, choice
-        elif prev is None:
-            prev = cur
-            prev_choice = f.choose_pair(cur)
     return None
 
 
@@ -95,6 +89,14 @@ def _nearest_index(m: PathMetric, v: int, zs) -> tuple[int, int]:
         if best is None or row[z] < best:
             best, k = row[z], i
     return best, k
+
+
+def _first_within(row, vertices, bound: int) -> int | None:
+    """Index of the first vertex at distance <= bound in ``row``, or None."""
+    for i, w in enumerate(vertices):
+        if row[w] <= bound:
+            return i
+    return None
 
 
 def claim1_propagate(m, f: TwoSelector, r: int, v: int, a: int, b: int, p: int):
@@ -130,41 +132,31 @@ def claim2_check(m, f: TwoSelector, r: int, config: ClaimConfig):
     against the opposite ends) would otherwise pin f({z_0, z_m}) to both of
     its values, so some leg must break; the first break is the witness.
     """
-    zs = config.z
-    p = config.p
-    v = config.v
+    zs, v, p = config.z, config.v, config.p
     unmet = _chain_unmet(m, zs, p)
     if unmet is not None:
         return unmet
-    _, k = _nearest_index(m, v, zs)
-    zk = zs[k]
-    if config.geodesic is not None:
-        geo = tuple(config.geodesic)
-        if geo[0] != v or geo[-1] != zk:
-            return HypothesisUnmet("geodesic endpoints must be v and the nearest chain vertex")
-        for g1, g2 in zip(geo, geo[1:]):
-            if g2 not in m.graph.adjacency[g1]:
-                return HypothesisUnmet("geodesic has a non-adjacent step")
-        if len(geo) - 1 != m.distance(v, zk):
-            return HypothesisUnmet("geodesic is not distance-realizing")
-    else:
-        geo = geodesic_between(m, v, zk).vertices
-    t = len(geo) - 1
-    if t <= p + r:
-        return Holds()
+    t, k = _nearest_index(m, v, zs)
+    return _claim2_core(m, f, r, zs, v, p, k, t)
+
+
+def _claim2_core(m, f: TwoSelector, r: int, zs, v: int, p: int, k: int, t: int):
+    """claim2_check past its precheck, with z_k nearest to v at distance t."""
     bound = p + r
-    for i in range(k, len(zs)):
-        if m.distance(zs[0], zs[i]) <= bound:
-            return HypothesisUnmet(f"(1) fails: d(z_0, z_{i}) <= p + r")
-    for i in range(0, k + 1):
-        if m.distance(zs[-1], zs[i]) <= bound:
-            return HypothesisUnmet(f"(2) fails: d(z_m, z_{i}) <= p + r")
-    for w in geo:
-        if m.distance(zs[0], w) <= bound:
-            return HypothesisUnmet("(3) fails: geodesic meets B(z_0, p + r)")
-    for w in geo:
-        if m.distance(zs[-1], w) <= bound:
-            return HypothesisUnmet("(4) fails: geodesic meets B(z_m, p + r)")
+    if t <= bound:
+        return Holds()
+    row_0, row_m = m.row(zs[0]), m.row(zs[-1])
+    i = _first_within(row_0, zs[k:], bound)
+    if i is not None:
+        return HypothesisUnmet(f"(1) fails: d(z_0, z_{k + i}) <= p + r")
+    i = _first_within(row_m, zs[: k + 1], bound)
+    if i is not None:
+        return HypothesisUnmet(f"(2) fails: d(z_m, z_{i}) <= p + r")
+    geo = geodesic_between(m, v, zs[k]).vertices
+    if _first_within(row_0, geo, bound) is not None:
+        return HypothesisUnmet("(3) fails: geodesic meets B(z_0, p + r)")
+    if _first_within(row_m, geo, bound) is not None:
+        return HypothesisUnmet("(4) fails: geodesic meets B(z_m, p + r)")
 
     chain_all = _chain_vertices(m, zs)
     chain_right = _chain_vertices(m, zs[k:])
@@ -192,7 +184,7 @@ def claim3_side(m, f: TwoSelector, r: int, zs, v: int, p: int, q: int | None = N
     ``q`` defaults to 2 (r + p) + 1; the line extraction passes 3 p.  With
     the end-ball hypotheses satisfied, a modulus-r selector forces the
     nearest index into the first or last q + 1 positions; a mid-chain
-    nearest index is handed to claim2_check, which must produce a witness.
+    nearest index is handed to claim2_check's core, which must produce a witness.
     """
     zs = tuple(zs)
     if q is None:
@@ -202,19 +194,20 @@ def claim3_side(m, f: TwoSelector, r: int, zs, v: int, p: int, q: int | None = N
         return unmet
     last = len(zs) - 1
     dmin, j = _nearest_index(m, v, zs)
-    if dmin <= p + r:
+    bound = p + r
+    if dmin <= bound:
         return HypothesisUnmet("d(v, P) <= p + r")
-    for i in range(q + 1, last + 1):
-        if m.distance(zs[0], zs[i]) <= p + r:
-            return HypothesisUnmet(f"end ball hypothesis fails at z_{i} near z_0")
-    for i in range(0, last - q + 1):
-        if m.distance(zs[-1], zs[i]) <= p + r:
-            return HypothesisUnmet(f"end ball hypothesis fails at z_{i} near z_m")
+    i = _first_within(m.row(zs[0]), zs[q + 1 :], bound)
+    if i is not None:
+        return HypothesisUnmet(f"end ball hypothesis fails at z_{q + 1 + i} near z_0")
+    i = _first_within(m.row(zs[-1]), zs[: max(last - q + 1, 0)], bound)
+    if i is not None:
+        return HypothesisUnmet(f"end ball hypothesis fails at z_{i} near z_m")
     if j <= q:
         return LeftEnd(j)
     if j >= last - q:
         return RightEnd(j)
-    sub = claim2_check(m, f, r, ClaimConfig(v=v, z=zs, p=p))
+    sub = _claim2_core(m, f, r, zs, v, p, j, dmin)
     if isinstance(sub, Holds):
         raise InvariantError("nearest distance both above and below p + r")
     return sub

@@ -126,7 +126,9 @@ def load_graph(args) -> Graph:
     if getattr(args, "generate", None):
         return parse_generate(args.generate)
     if getattr(args, "graph", None):
-        return build_graph(_int_lines(_read(args, args.graph), "u v"))
+        g = build_graph(_int_lines(_read(args, args.graph), "u v"))
+        args.duplicate_edges = g.duplicate_edges  # reported beside the digest
+        return g
     raise InputError("supply --graph FILE or --generate SPEC")
 
 
@@ -161,17 +163,21 @@ def _read(args, path: str) -> str:
 
 
 def _digest(args) -> dict:
-    """sha256 over every option and the text of every file the run read."""
+    """sha256 over every option and the text of every file the run read, and
+    the number of repeated edges dropped from a graph file, if any."""
     h = hashlib.sha256()
     for key in sorted(vars(args)):
-        if key in ("func", "texts", "timing"):
+        if key in ("func", "texts", "timing", "duplicate_edges"):
             continue
         value = getattr(args, key)
         h.update(f"{key}={value!r}\n".encode())
         path = str(value).partition(":")[2] if key == "selector" else value
         if key in ("cert", "coord", "graph", "order", "sample", "selector") and path in args.texts:
             h.update(args.texts[path].encode())
-    return {"sha256": h.hexdigest()}
+    inputs = {"sha256": h.hexdigest()}
+    if getattr(args, "duplicate_edges", 0):
+        inputs["duplicate_edges"] = args.duplicate_edges
+    return inputs
 
 
 def _vertex_list(text: str, graph: Graph) -> list[int]:

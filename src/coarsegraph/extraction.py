@@ -19,38 +19,12 @@ failure modes are result values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .claims import HypothesisUnmet, LeftEnd, RightEnd, claim3_side
 from .graph_core import InvariantError, PathMetric, geodesic_between
 from .qi_cert import QuasiIsometryCert, tighten, verify_qi, Valid
 from .selector import TwoSelector, Witness, modulus, verify_selector
-
-
-@dataclass
-class ExtractionState:
-    """Working state of the line construction."""
-
-    p: int
-    c: int
-    left: list[int] = field(default_factory=list)  # b-side then y-buffer, d(left[i], c) = i + 1
-    right: list[int] = field(default_factory=list)  # a-side then x-buffer
-    iterations: int = 0
-
-    @property
-    def buffer_len(self) -> int:
-        return 4 * self.p + 1
-
-    @property
-    def a_len(self) -> int:
-        return len(self.right) - self.buffer_len
-
-    @property
-    def b_len(self) -> int:
-        return len(self.left) - self.buffer_len
-
-    def sequence(self) -> list[int]:
-        return list(reversed(self.left)) + [self.c] + self.right
 
 
 @dataclass
@@ -89,12 +63,9 @@ def _seed_geodesic(m: PathMetric, length: int):
     return None
 
 
-def _measure_slack(m: PathMetric, state: ExtractionState) -> int:
-    worst = 0
-    for side in (state.left, state.right):
-        for i, w in enumerate(side):
-            worst = max(worst, abs(m.distance(w, state.c) - (i + 1)))
-    return worst
+def _measure_slack(row_c, left, right) -> int:
+    """Largest gap between a line vertex's distance to c and its index."""
+    return max(abs(row_c[w] - i) for side in (left, right) for i, w in enumerate(side, 1))
 
 
 def _max_step(m: PathMetric, seq) -> int:
@@ -163,29 +134,22 @@ def extract_line(
         return Bounded(m.diameter(), diag)
 
     mid = 8 * p + 1
-    state = ExtractionState(
-        p=p,
-        c=seed[mid],
-        left=list(reversed(seed[:mid])),
-        right=list(seed[mid + 1 :]),
-    )
+    c = seed[mid]
+    row_c = m.row(c)
+    left = list(reversed(seed[:mid]))  # b-side then y-buffer, d(left[i], c) = i + 1
+    right = list(seed[mid + 1 :])  # a-side then x-buffer
     claimed = set(seed)
 
     while True:
-        state.iterations += 1
-        diag["iterations"] = state.iterations
-        if state.iterations > nverts + 2:
+        seq = left[::-1] + [c] + right
+        diag["iterations"] += 1
+        if diag["iterations"] > nverts + 2:
             diag["anomalies"].append("iteration cap reached")
             break
-        line_set = set(state.sequence()) | {state.c}
-        from_line = m.distances_from_set(line_set)
+        from_line = m.distances_from_set(seq)
         if max(from_line) <= coverage:
             break
-        candidates = [
-            v
-            for v in range(nverts)
-            if v not in claimed and m.distance(v, state.c) >= n
-        ]
+        candidates = [v for v in range(nverts) if v not in claimed and row_c[v] >= n]
         if not candidates:
             diag["anomalies"].append("far vertices remain but no probe candidates")
             break
@@ -193,7 +157,6 @@ def extract_line(
         claimed.add(probe)
         diag["probes"] += 1
 
-        seq = state.sequence()
         side = claim3_side(m, f, r, seq, probe, p, q=q)
         if isinstance(side, Witness):
             return Falsified((side.pair_a, side.pair_b), diag)
@@ -202,15 +165,13 @@ def extract_line(
             continue
 
         extend_right = isinstance(side, RightEnd)
-        host = state.right if extend_right else state.left
-        opposite_end = state.left[-1] if extend_right else state.right[-1]
+        host, opposite = (right, left) if extend_right else (left, right)
         anchor = host[3 * p - 1]  # exact distance 3p from c
         if r >= 1:
-            first = host[r - 1]
-            branch = "center" if f.choose(state.c, first) == state.c else "side"
+            branch = "center" if f.choose(c, host[r - 1]) == c else "side"
             diag["branches"].append(branch)
 
-        geo = geodesic_between(m, state.c, probe).vertices
+        geo = geodesic_between(m, c, probe).vertices
         splice_at = None
         anchor_row = m.row(anchor)
         for j in range(1, len(geo) - 1):
@@ -230,7 +191,7 @@ def extract_line(
             continue
 
         tail = list(geo[splice_at + 1 :])
-        opp_row = m.row(opposite_end)
+        opp_row = m.row(opposite[-1])
         if any(opp_row[w] <= 3 * p for w in tail):
             witness = _falsify_or_none(m, f, r)
             if witness is not None:
@@ -247,27 +208,26 @@ def extract_line(
 
         new_side = host[:splice_at] + tail
         if extend_right:
-            state.right = new_side
+            right = new_side
             diag["splices_right"] += 1
         else:
-            state.left = new_side
+            left = new_side
             diag["splices_left"] += 1
         claimed.update(tail)
-        diag["coordinate_slack"] = max(diag["coordinate_slack"], _measure_slack(m, state))
+        diag["coordinate_slack"] = max(diag["coordinate_slack"], _measure_slack(row_c, left, right))
 
-    seq = state.sequence()
     diag["line_length"] = len(seq)
     diag["max_sequence_step"] = _max_step(m, seq)
-    coord = {state.c: 0}
-    for i, w in enumerate(state.right):
+    coord = {c: 0}
+    for i, w in enumerate(right):
         coord[w] = i + 1
-    for i, w in enumerate(state.left):
+    for i, w in enumerate(left):
         coord[w] = -(i + 1)
-    if len(coord) != 1 + len(state.left) + len(state.right):
+    if len(coord) != len(seq):
         diag["anomalies"].append("line sequence revisits vertices")
 
-    grown_right = state.a_len > 4 * p
-    grown_left = state.b_len > 4 * p
+    grown_right = len(right) > 8 * p + 1
+    grown_left = len(left) > 8 * p + 1
     if grown_right != grown_left:
         if grown_left:
             coord = {v: -x for v, x in coord.items()}

@@ -8,7 +8,6 @@ caller's business.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,8 +154,6 @@ def build_graph(edge_list, vertex_count: int | None = None) -> Graph:
     comps = _components(n, adj)
     if len(comps) > 1:
         raise DisconnectedGraph(comps)
-    if dupes:
-        warnings.warn(f"ignored {dupes} duplicate edge(s)", stacklevel=2)
     return Graph(n, adj, duplicate_edges=dupes)
 
 
@@ -165,7 +162,8 @@ class PathMetric:
 
     Distance rows are materialized lazily, one BFS per queried source, and
     memoized.  A dense all-pairs matrix is built on demand for graphs with
-    at most ``dense_cap`` vertices; larger graphs stay row-based.
+    at most ``dense_cap`` vertices; larger graphs stay row-based.  Once the
+    matrix exists, a row is read from it, so no distance is computed twice.
     """
 
     def __init__(self, graph: Graph, dense_cap: int = 4096):
@@ -179,10 +177,14 @@ class PathMetric:
         cached = self._rows.get(u)
         if cached is not None:
             return cached
+        dist = self._bfs_row(u) if self._dense is None else self._dense[u].tolist()
+        self._rows[u] = dist
+        return dist
+
+    def _bfs_row(self, u: int) -> list[int]:
         dist = [-1] * self.graph.vertex_count
         dist[u] = 0
         _bfs(self.graph.adjacency, [u], dist)
-        self._rows[u] = dist
         return dist
 
     def distance(self, u: int, v: int) -> int:
@@ -204,8 +206,9 @@ class PathMetric:
         if self._dense is None:
             n = self.graph.vertex_count
             mat = np.empty((n, n), dtype=np.int32)
-            for v in range(n):
-                mat[v] = self.row(v)
+            for v in range(n):  # each row straight into the matrix, not the memo
+                cached = self._rows.get(v)
+                mat[v] = cached if cached is not None else self._bfs_row(v)
             self._dense = mat
         return self._dense
 

@@ -39,9 +39,6 @@ class LinearOrder:
             out[pos] = v
         return out
 
-    def less(self, a: int, b: int) -> bool:
-        return self.rank[a] < self.rank[b]
-
 
 @dataclass(frozen=True)
 class MinimalG:

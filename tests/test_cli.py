@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -94,6 +95,20 @@ def test_graph_file_parse_error(capsys, tmp_path):
         code, out = _capture(capsys, ["metric", "--graph", str(bad), "--pairs", "0,1"])
         assert code == 2
         assert json.loads(out)["error"].startswith(position)
+
+
+def test_repeated_edges_are_counted_in_the_report(capsys, tmp_path):
+    graph = tmp_path / "g.edges"
+    for text, repeats in (("0 1\n0 1\n1 2\n", 1), ("0 1\n1 0\n0 1\n1 2\n", 2), ("0 1\n1 2\n", 0)):
+        graph.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["metric", "--graph", str(graph), "--pairs", "0,2"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == "" and not caught
+        inputs = json.loads(captured.out)["inputs"]
+        assert inputs.get("duplicate_edges") == (repeats or None)
+        assert sorted(inputs) == (["duplicate_edges", "sha256"] if repeats else ["sha256"])
 
 
 def test_selector_file(capsys, tmp_path):

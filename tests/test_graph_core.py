@@ -44,8 +44,7 @@ def test_build_rejects_max_id_beyond_edge_count():
 
 
 def test_duplicate_edges_counted():
-    with pytest.warns(UserWarning, match="duplicate"):
-        g = build_graph([(0, 1), (1, 0), (1, 2)])
+    g = build_graph([(0, 1), (1, 0), (1, 2)])
     assert g.duplicate_edges == 1
     assert g.edge_list() == [(0, 1), (1, 2)]
 
@@ -182,6 +181,28 @@ def test_bfs_rows_and_multi_source_match_floyd_warshall(g, rng):
         assert m.row(u) == oracle[u]
     sources = rng.sample(range(n), rng.randint(1, n))
     assert m.distances_from_set(sources) == [min(oracle[s][v] for s in sources) for v in range(n)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(connected_graphs())
+def test_dense_matrix_keeps_no_row_lists(g):
+    # the matrix holds each distance once; rows read afterwards come from it
+    n = g.vertex_count
+    m = PathMetric(g)
+    m.dense_matrix()
+    assert m._rows == {}
+    oracle = floyd_warshall(n, g.edge_list())
+    assert m.dense_matrix().tolist() == oracle
+    for u in range(n):
+        row = m.row(u)
+        assert row == oracle[u] and all(type(d) is int for d in row)
+
+
+def test_dense_matrix_reuses_memoized_rows():
+    m = PathMetric(grid_graph(4, 3))
+    first = m.row(5)
+    assert m.dense_matrix()[5].tolist() == first
+    assert m.row(5) is first and list(m._rows) == [5]
 
 
 @st.composite
