@@ -76,8 +76,5 @@ from .search import (
     BudgetExceeded,
     Feasible,
     Infeasible,
-    TooLarge,
-    exhaustive_min_modulus,
     min_modulus_search,
-    minimal_modulus,
 )

@@ -59,13 +59,13 @@ def _ints(fields) -> tuple[int, ...]:
 
 
 def _int_lines(text: str, form: str):
-    """Each line of ``text`` as a tuple of ints, one per field of ``form``."""
+    """(line number, tuple of ints) for each line of ``text``, one int per field of ``form``."""
     width = len(form.split())
     for lineno, fields in tokenize(text):
         values = _ints(fields)
         if len(values) != width:
             raise field_error(text, lineno, fields, (int,) * width, f"expected '{form}'")
-        yield values
+        yield lineno, values
 
 
 def parse_generate(spec: str) -> Graph:
@@ -90,7 +90,7 @@ def parse_generate(spec: str) -> Graph:
 
 
 def parse_order_file(text: str, n: int) -> order_compat.LinearOrder:
-    ranking = [v for (v,) in _int_lines(text, "v")]
+    ranking = [v for _, (v,) in _int_lines(text, "v")]
     if sorted(ranking) != list(range(n)):
         raise InputError(f"order file must list each of 0..{n - 1} exactly once")
     return order_compat.LinearOrder.from_ranking(ranking)
@@ -108,7 +108,10 @@ def parse_selector_file(text: str, n: int) -> dict:
             raise InputError(f"line {lineno}: {{{a}, {b}}} is not a pair of distinct vertices")
         if c not in (a, b):
             raise InputError(f"line {lineno}: choice {c} not in pair {{{a}, {b}}}")
-        table[(a, b) if a < b else (b, a)] = c
+        key = (a, b) if a < b else (b, a)
+        if key in table:
+            raise field_error(text, lineno, (), (), f"pair {{{a}, {b}}} is given twice")
+        table[key] = c
     for a, b in table:
         for v in (a, b):
             if not 0 <= v < n:
@@ -126,7 +129,7 @@ def load_graph(args) -> Graph:
     if getattr(args, "generate", None):
         return parse_generate(args.generate)
     if getattr(args, "graph", None):
-        g = build_graph(_int_lines(_read(args, args.graph), "u v"))
+        g = build_graph(edge for _, edge in _int_lines(_read(args, args.graph), "u v"))
         args.duplicate_edges = g.duplicate_edges  # reported beside the digest
         return g
     raise InputError("supply --graph FILE or --generate SPEC")
@@ -377,14 +380,23 @@ def _load_cert(args) -> qi_cert.QuasiIsometryCert:
             if isinstance(block, dict) and key in block:
                 block = block[key]
         try:
-            coord = {_json_int(v): _json_int(c) for v, c in block["coord"]}
+            coord = {}
+            for v, c in block["coord"]:
+                if _json_int(v) in coord:
+                    raise ValueError(f"vertex {v} is given twice")
+                coord[v] = _json_int(c)
             lam, C, D = block["lambda"], _json_int(block["C"]), _json_int(block["D"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad certificate payload: {exc}") from exc
         return qi_cert.QuasiIsometryCert(coord, _frac(str(lam)), C, D)
     if not args.coord:
         raise InputError("supply --cert FILE or --coord FILE with --lam/--C/--D")
-    coord = dict(_int_lines(_read(args, args.coord), "vertex value"))
+    text = _read(args, args.coord)
+    coord = {}
+    for lineno, (v, value) in _int_lines(text, "vertex value"):
+        if v in coord:
+            raise field_error(text, lineno, (), (), f"vertex {v} is given twice")
+        coord[v] = value
     return qi_cert.QuasiIsometryCert(coord, _frac(args.lam), args.c_const, args.d_const)
 
 

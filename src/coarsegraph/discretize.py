@@ -11,6 +11,7 @@ max_4graph_over_ambient = 8/3.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -77,29 +78,23 @@ def sample_space(shape, step) -> FiniteMetricSpace:
     step = _check_step(step)
     kind = shape[0]
     if kind == "segment":
-        count = _count(shape[1], step) + 1
-        pts = [step * k for k in range(count)]
-        mat = [[abs(x - y) for y in pts] for x in pts]
-        return FiniteMetricSpace(pts, mat, step)
-    if kind == "circle":
+        pts = [step * k for k in range(_count(shape[1], step) + 1)]
+        def dist(x, y):
+            return abs(x - y)
+    elif kind == "circle":
         circumference = Fraction(shape[1])
-        count = _count(circumference, step)
-        pts = [step * k for k in range(count)]
-        mat = [
-            [min(abs(x - y), circumference - abs(x - y)) for y in pts]
-            for x in pts
-        ]
-        return FiniteMetricSpace(pts, mat, step)
-    if kind == "rectangle":
+        pts = [step * k for k in range(_count(circumference, step))]
+        def dist(x, y):
+            return min(abs(x - y), circumference - abs(x - y))
+    elif kind == "rectangle":
         w = _count(shape[1], step) + 1
         h = _count(shape[2], step) + 1
         pts = [(step * i, step * j) for i in range(w) for j in range(h)]
-        mat = [
-            [abs(x1 - x2) + abs(y1 - y2) for (x2, y2) in pts]
-            for (x1, y1) in pts
-        ]
-        return FiniteMetricSpace(pts, mat, step)
-    raise InputError(f"unknown shape {kind!r}")
+        def dist(p, q):
+            return abs(p[0] - q[0]) + abs(p[1] - q[1])
+    else:
+        raise InputError(f"unknown shape {kind!r}")
+    return FiniteMetricSpace(pts, [[dist(x, y) for y in pts] for x in pts], step)
 
 
 @dataclass(frozen=True)
@@ -116,28 +111,21 @@ def greedy_net(space: FiniteMetricSpace) -> Net:
     return Net(tuple(chosen))
 
 
-def edge_witness(space: FiniteMetricSpace, u: int, v: int):
-    """Lowest-index sample within 2 of both points, or None."""
-    for x in range(space.n):
-        if space.dist(x, u) <= 2 and space.dist(x, v) <= 2:
-            return x
-    return None
-
-
 def net_graph(space: FiniteMetricSpace, net: Net) -> Graph:
     """Graph on net points under the shared-witness rule.
 
-    Net point i of ``net.indices`` becomes graph vertex i.  Raises
-    DisconnectedNetGraph when the witness rule does not connect the net.
+    Net point i of ``net.indices`` becomes graph vertex i.  Each sample
+    point joins every two net points within 2 of it, so one pass over the
+    samples finds every edge.  Raises DisconnectedNetGraph when the rule
+    does not connect the net.
     """
     pts = net.indices
-    edges = []
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            if edge_witness(space, pts[a], pts[b]) is not None:
-                edges.append((a, b))
+    edges = set()
+    for row in space.dist_matrix:
+        near = [a for a, u in enumerate(pts) if row[u] <= 2]
+        edges.update(itertools.combinations(near, 2))
     try:
-        return build_graph(edges, vertex_count=len(pts))
+        return build_graph(sorted(edges), vertex_count=len(pts))
     except DisconnectedGraph as exc:
         raise DisconnectedNetGraph(exc.components) from exc
 

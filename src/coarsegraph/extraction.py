@@ -55,12 +55,10 @@ class Falsified:
 
 def _seed_geodesic(m: PathMetric, length: int):
     """Lowest-seed geodesic of exactly the requested length, if any."""
-    for s in range(m.graph.vertex_count):
-        row = m.row(s)
-        if max(row) >= length:
-            t = row.index(length)
-            return geodesic_between(m, s, t).vertices
-    return None
+    s = next((v for v, ecc in m.eccentricities() if ecc >= length), None)
+    if s is None:
+        return None
+    return geodesic_between(m, s, m.row(s).index(length)).vertices
 
 
 def _measure_slack(row_c, left, right) -> int:

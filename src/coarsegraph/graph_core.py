@@ -194,9 +194,21 @@ class PathMetric:
         row = self.row(v)
         return {u for u, d in enumerate(row) if d <= radius}
 
+    def eccentricities(self):
+        """(v, largest distance from v) for each vertex v in id order.
+
+        Reads the dense matrix when it is already built, so no row list is
+        memoized beside it; otherwise each vertex's row, one at a time.
+        """
+        if self._dense is not None:
+            yield from enumerate(self._dense.max(axis=1).tolist())
+        else:
+            for v in range(self.graph.vertex_count):
+                yield v, max(self.row(v))
+
     def diameter(self) -> int:
         if self._diameter is None:
-            self._diameter = max(max(self.row(v)) for v in range(self.graph.vertex_count))
+            self._diameter = max(ecc for _, ecc in self.eccentricities())
         return self._diameter
 
     def dense_matrix(self):

@@ -67,9 +67,9 @@ def neighbor_pair_candidates(m: PathMetric, P):
 
     Reads the two rows of ``neighborhood_table`` for P and yields each pair
     once, at its first occurrence in the module's scan order.  Every pair at
-    Hausdorff distance <= 1 from P is of this form, so the candidate set is
-    exactly the d_H <= 1 neighborhood of P; pair_neighbors filters anyway
-    as a guard.
+    Hausdorff distance <= 1 from P is of this form, and every pair of this
+    form is within 1 of P, so the candidates are exactly the d_H <= 1
+    neighborhood of P, P itself included.
     """
     a, b = vpair(*P)
     row_a, row_b = neighborhood_table(m.graph, (a, b)).tolist()
@@ -86,5 +86,4 @@ def neighbor_pair_candidates(m: PathMetric, P):
 
 def pair_neighbors(m: PathMetric, P) -> set[tuple[int, int]]:
     """All pairs B (including P itself) with d_H(P, B) <= 1."""
-    P = vpair(*P)
-    return {q for q in neighbor_pair_candidates(m, P) if hausdorff_distance(m, P, q) <= 1}
+    return set(neighbor_pair_candidates(m, P))

@@ -57,31 +57,35 @@ class CompatibilityReport:
     violations: list
 
 
+def _ball_spans(m: PathMetric, order: LinearOrder, e: int):
+    """(x, e-ball of x, lowest rank in it, highest rank in it) for each vertex x."""
+    rank = order.rank
+    for x in range(m.graph.vertex_count):
+        ball = m.ball(x, e)
+        ranks = [rank[u] for u in ball]
+        yield x, ball, min(ranks), max(ranks)
+
+
 def _violations_at(m: PathMetric, order: LinearOrder, e: int, g: int, limit=16):
     """Triples (x, x', y) breaking the condition at radius g.
 
     For every ordered pair with d(x, y) > g: if x < y, every x' within e of
-    x must stay below y; if y < x, every such x' must stay above y.
+    x must stay below y; if y < x, every such x' must stay above y.  x' is
+    the lowest-id ball member that crosses.
     """
-    n = m.graph.vertex_count
     rank = order.rank
-    balls = [sorted(m.ball(x, e)) for x in range(n)]
-    ball_max = [max(rank[u] for u in balls[x]) for x in range(n)]
-    ball_min = [min(rank[u] for u in balls[x]) for x in range(n)]
     out = []
-    for x in range(n):
-        row = m.row(x)
+    for x, ball, lo, hi in _ball_spans(m, order, e):
         rx = rank[x]
-        for y in range(n):
-            if y == x or row[y] <= g:
+        for y, d in enumerate(m.row(x)):
+            if y == x or d <= g:
                 continue
             ry = rank[y]
-            if rx < ry and ball_max[x] >= ry:
-                xp = next(u for u in balls[x] if rank[u] >= ry)
-                out.append((x, xp, y))
-            elif ry < rx and ball_min[x] <= ry:
-                xp = next(u for u in balls[x] if rank[u] <= ry)
-                out.append((x, xp, y))
+            if ry > rx:
+                if ry <= hi:
+                    out.append((x, min(u for u in ball if rank[u] >= ry), y))
+            elif ry >= lo:
+                out.append((x, min(u for u in ball if rank[u] <= ry), y))
             if len(out) >= limit:
                 return out
     return out
@@ -104,10 +108,9 @@ def min_compat_radius(
         raise InputError("cap must be at least e")
     by_rank = order.vertices_by_rank()
     g = e
-    for x in range(m.graph.vertex_count):
-        ranks = [order.rank[u] for u in m.ball(x, e)]
+    for x, _, lo, hi in _ball_spans(m, order, e):
         row = m.row(x)
-        g = max(g, max(row[by_rank[pos]] for pos in range(min(ranks), max(ranks) + 1)))
+        g = max(g, max(row[by_rank[pos]] for pos in range(lo, hi + 1)))
     if g <= cap:
         return CompatibilityReport(e, MinimalG(g), [])
     return CompatibilityReport(e, NotFound(cap), _violations_at(m, order, e, cap))
@@ -126,13 +129,7 @@ def is_interval_entourage(m: PathMetric, order: LinearOrder, e: int):
     vertex lying strictly inside the ball's rank span but outside the ball.
     """
     by_rank = order.vertices_by_rank()
-    for x in range(m.graph.vertex_count):
-        ball = m.ball(x, e)
-        ranks = sorted(order.rank[u] for u in ball)
-        lo, hi = ranks[0], ranks[-1]
-        if hi - lo + 1 == len(ball):
-            continue
-        for pos in range(lo, hi + 1):
-            if by_rank[pos] not in ball:
-                return Counterexample(x, by_rank[pos])
+    for x, ball, lo, hi in _ball_spans(m, order, e):
+        if hi - lo + 1 > len(ball):
+            return Counterexample(x, next(v for v in by_rank[lo : hi + 1] if v not in ball))
     return True

@@ -45,10 +45,11 @@ from coarsegraph.order_compat import (
     is_interval_entourage,
     min_compat_radius,
 )
-from coarsegraph.search import Feasible, exhaustive_min_modulus, min_modulus_search
+from coarsegraph.search import Feasible, min_modulus_search
 from coarsegraph.generators import comb_graph, grid_graph, path_graph, tripod_graph
 
 from conftest import brute_hausdorff, floyd_warshall, random_tournament
+from search_oracle import exhaustive_min_modulus
 
 HALF = Fraction(1, 2)
 

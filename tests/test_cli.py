@@ -254,6 +254,39 @@ def test_net_certify_refuses_a_sample_that_is_not_a_metric(capsys, tmp_path, tex
     assert json.loads(out)["error"] == message
 
 
+@pytest.mark.parametrize(
+    "flag, text, extra, message",
+    [
+        (
+            "--selector",
+            "0 1 -> 0\n0 2 -> 0\n1 2 -> 1\n1 0 -> 1\n",
+            ["selector", "modulus"],
+            "line 4, column 1: pair {1, 0} is given twice",
+        ),
+        (
+            "--coord",
+            "0 0\n1 1\n  1 5\n2 2\n",
+            ["qi", "verify"],
+            "line 3, column 3: vertex 1 is given twice",
+        ),
+        (
+            "--cert",
+            '{"coord": [[0, 0], [1, 1], [1, 5], [2, 2]], "lambda": "1", "C": 0, "D": 0}',
+            ["qi", "verify"],
+            "bad certificate payload: vertex 1 is given twice",
+        ),
+    ],
+    ids=["selector-pair", "coord-vertex", "cert-vertex"],
+)
+def test_a_key_given_twice_is_refused(capsys, tmp_path, flag, text, extra, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    value = f"file:{path}" if flag == "--selector" else str(path)
+    code, out = _capture(capsys, [*extra, "--generate", "path:3", flag, value])
+    assert code == 2
+    assert json.loads(out)["error"] == message
+
+
 def test_selector_from_order_natural_is_the_min_selector(capsys):
     reports = []
     for argv in (["from-order", "--order", "natural"], ["min"]):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +11,6 @@ from coarsegraph.discretize import (
     FiniteMetricSpace,
     StepTooCoarse,
     certify_net,
-    edge_witness,
     greedy_net,
     net_graph,
     parse_sample_file,
@@ -19,6 +19,28 @@ from coarsegraph.discretize import (
 )
 
 HALF = Fraction(1, 2)
+
+
+def edge_witness(sp, u, v):
+    """Lowest-index sample within 2 of both points, or None.
+
+    The net graph's rule read one net pair at a time, scanning every
+    sample: the oracle of ``net_graph``, which reads it once per sample.
+    """
+    for x in range(sp.n):
+        if sp.dist(x, u) <= 2 and sp.dist(x, v) <= 2:
+            return x
+    return None
+
+
+def oracle_net_edges(sp, net):
+    pts = net.indices
+    return [
+        (a, b)
+        for a in range(len(pts))
+        for b in range(a + 1, len(pts))
+        if edge_witness(sp, pts[a], pts[b]) is not None
+    ]
 
 
 def check_metric_axioms(sp):
@@ -295,3 +317,76 @@ def test_greedy_net_invariants_on_random_segments(positions):
     sp = FiniteMetricSpace(positions, mat, delta)
     net = greedy_net(sp)
     assert net_is_valid(sp, net)
+
+
+def check_net_graph(sp):
+    """net_graph's edges, or its components when disconnected, against the
+    oracle; returns whether the oracle's graph is connected."""
+    net = greedy_net(sp)
+    edges = oracle_net_edges(sp, net)
+    oracle = nx.Graph()
+    oracle.add_nodes_from(range(len(net.indices)))
+    oracle.add_edges_from(edges)
+    if nx.is_connected(oracle):
+        assert net_graph(sp, net).edge_list() == edges
+        return True
+    with pytest.raises(DisconnectedNetGraph) as exc:
+        net_graph(sp, net)
+    assert exc.value.components == sorted(sorted(c) for c in nx.connected_components(oracle))
+    return False
+
+
+@pytest.mark.parametrize(
+    "shape, step",
+    [
+        (("segment", 1), HALF),
+        (("segment", Fraction(7, 2)), HALF),
+        (("segment", 23), HALF),
+        (("segment", 9), Fraction(1, 4)),
+        (("circle", 5), HALF),
+        (("circle", 10), HALF),
+        (("circle", 17), HALF),
+        (("circle", 9), Fraction(1, 3)),
+        (("rectangle", 3, 2), HALF),
+        (("rectangle", 4, 4), HALF),
+        (("rectangle", 7, 1), HALF),
+    ],
+)
+def test_net_graph_matches_edge_witness_on_sampled_shapes(shape, step):
+    assert check_net_graph(sample_space(shape, step))
+
+
+FACTORS = [Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(3)]
+
+
+@st.composite
+def perturbed_samples(draw):
+    """A parsed sample: a sampled shape's distances, each scaled by a factor,
+    plus 10 on every pair across an optional split, which can disconnect it."""
+    shape = draw(st.sampled_from([("segment", 6), ("circle", 8), ("rectangle", 2, 2)]))
+    base = sample_space(shape, HALF)
+    n = base.n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    factors = draw(st.lists(st.sampled_from(FACTORS), min_size=len(pairs), max_size=len(pairs)))
+    split = draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=n - 1)))
+    lines = [f"points {n}"]
+    for (i, j), k in zip(pairs, factors):
+        d = base.dist(i, j) * k + (10 if i < split <= j else 0)
+        lines.append(f"{i} {j} {d.numerator}/{d.denominator}")
+    return parse_sample_file("\n".join(lines) + "\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_samples())
+def test_net_graph_matches_edge_witness_on_perturbed_samples(sp):
+    check_net_graph(sp)
+
+
+def test_net_graph_matches_edge_witness_on_a_disconnected_sample():
+    base = sample_space(("segment", 6), HALF)
+    lines = [f"points {base.n}"]
+    for i in range(base.n):
+        for j in range(i + 1, base.n):
+            d = base.dist(i, j) + (10 if i < 7 <= j else 0)
+            lines.append(f"{i} {j} {d.numerator}/{d.denominator}")
+    assert not check_net_graph(parse_sample_file("\n".join(lines) + "\n"))

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from coarsegraph import (
     Bounded,
     Falsified,
@@ -15,7 +17,9 @@ from coarsegraph import (
     verify_qi,
     witness_is_violation,
 )
+from coarsegraph.extraction import _seed_geodesic
 from coarsegraph.generators import grid_graph, path_graph, tripod_graph
+from coarsegraph.graph_core import geodesic_between
 
 from conftest import random_tournament
 
@@ -133,3 +137,27 @@ def test_extraction_is_deterministic():
     assert type(first) is type(second)
     assert first.coord == second.coord
     assert first.cert == second.cert
+
+
+def test_bounded_extraction_keeps_no_row_lists_beside_the_matrix():
+    # computing r builds the all-pairs matrix; the seed search and the
+    # diameter then read the matrix, not one memoized row list per vertex
+    g = grid_graph(30, 30)
+    m = PathMetric(g)
+    res = extract_line(m, min_selector(_ids(g)))
+    assert isinstance(res, Bounded) and res.radius == 58
+    assert m._dense is not None
+    assert len(m._rows) < g.vertex_count
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["rows", "matrix"])
+def test_seed_geodesic_is_the_lowest_seed_at_the_length(dense):
+    for g in (path_graph(30), grid_graph(6, 5), tripod_graph(4, 7, 9)):
+        oracle = PathMetric(g)
+        for length in range(oracle.diameter() + 2):
+            m = PathMetric(g)
+            if dense:
+                m.dense_matrix()
+            s = next((v for v in range(g.vertex_count) if max(oracle.row(v)) >= length), None)
+            expected = None if s is None else geodesic_between(oracle, s, oracle.row(s).index(length)).vertices
+            assert _seed_geodesic(m, length) == expected

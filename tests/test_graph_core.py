@@ -205,6 +205,19 @@ def test_dense_matrix_reuses_memoized_rows():
     assert m.row(5) is first and list(m._rows) == [5]
 
 
+@settings(max_examples=30, deadline=None)
+@given(connected_graphs())
+def test_eccentricities_from_rows_and_from_the_matrix(g):
+    oracle = [max(row) for row in floyd_warshall(g.vertex_count, g.edge_list())]
+    by_rows = PathMetric(g)
+    assert list(by_rows.eccentricities()) == list(enumerate(oracle))
+    assert by_rows.diameter() == max(oracle)
+    by_matrix = PathMetric(g)
+    by_matrix.dense_matrix()
+    assert list(by_matrix.eccentricities()) == list(enumerate(oracle))
+    assert by_matrix.diameter() == max(oracle) and by_matrix._rows == {}
+
+
 @st.composite
 def edge_lists(draw):
     """(n, edges): distinct edges on 0..n-1, connected or not."""

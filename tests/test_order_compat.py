@@ -67,6 +67,54 @@ def test_one_pass_matches_the_g_loop(case):
     assert report.result == min_compat_by_g(m, order, e, max(e, m.diameter()) if cap is None else cap)
 
 
+def violations_by_triples(m, order, e, g, limit):
+    """Oracle of _violations_at: the first ``limit`` triples (x, x', y).
+
+    Pairs x != y run in (x, y) order; each with d(x, y) > g gives one
+    triple, whose x' is the lowest-id member of the e-ball of x on the
+    wrong side of y, when there is one.
+    """
+    out = []
+    for x, y in itertools.permutations(range(m.graph.vertex_count), 2):
+        if m.distance(x, y) <= g:
+            continue
+        crossing = [
+            xp
+            for xp in sorted(m.ball(x, e))
+            if (less(order, x, y) and not less(order, xp, y))
+            or (less(order, y, x) and not less(order, y, xp))
+        ]
+        if crossing:
+            out.append((x, crossing[0], y))
+            if len(out) == limit:
+                break
+    return out
+
+
+def first_interval_gap(m, order, e):
+    """Oracle of is_interval_entourage: the lowest x whose e-ball skips a
+    rank inside its rank span, with the lowest-rank skipped vertex."""
+    for x in range(m.graph.vertex_count):
+        ball = m.ball(x, e)
+        ranks = [order.rank[u] for u in ball]
+        gaps = [v for v in range(m.graph.vertex_count) if v not in ball and min(ranks) < order.rank[v] < max(ranks)]
+        if gaps:
+            return Counterexample(x, min(gaps, key=lambda v: order.rank[v]))
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(compat_cases(), st.integers(0, 6), st.integers(1, 20))
+def test_violations_and_interval_gaps_match_their_oracles(case, g, limit):
+    graph, order, e, _ = case
+    m = PathMetric(graph)
+    assert _violations_at(m, order, e, g, limit=limit) == violations_by_triples(m, order, e, g, limit)
+    assert is_interval_entourage(m, order, e) == first_interval_gap(m, order, e)
+    report = min_compat_radius(m, order, e, cap=e)
+    if isinstance(report.result, NotFound):
+        assert report.violations == violations_by_triples(m, order, e, e, 16)
+
+
 def test_e_zero_is_always_zero():
     for g in (path_graph(8), grid_graph(3, 3)):
         m = PathMetric(g)

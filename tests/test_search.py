@@ -5,18 +5,12 @@ import itertools
 import pytest
 
 from coarsegraph import Holds, PathMetric, verify_selector
-from coarsegraph.search import (
-    BudgetExceeded,
-    Feasible,
-    Infeasible,
-    TooLarge,
-    exhaustive_min_modulus,
-    min_modulus_search,
-    minimal_modulus,
-)
+from coarsegraph.search import BudgetExceeded, Feasible, Infeasible, min_modulus_search
 from coarsegraph.selector import modulus, selector_from_table
-from coarsegraph.generators import grid_graph, path_graph, tripod_graph
+from coarsegraph.generators import comb_graph, cycle_graph, grid_graph, path_graph, tripod_graph
 from coarsegraph.graph_core import build_graph
+
+from search_oracle import TooLarge, exhaustive_min_modulus, minimal_modulus
 
 
 def _naive_exhaustive(g):
@@ -99,3 +93,22 @@ def test_search_depth_is_not_bounded_by_recursion_limit():
     assert [o.nodes for o in outcomes] == [2, 2, 2, 2, 6, 14, 254, 8190, 1612]
     assert [o.backtracks for o in outcomes[:-1]] == [2, 2, 2, 2, 6, 14, 254, 8190]
     assert isinstance(outcomes[-1], Feasible) and outcomes[-1].r == 8
+
+
+@pytest.mark.parametrize(
+    "graph, infeasible, feasible_nodes",
+    [
+        (cycle_graph(29), [(2, 2)] * 4 + [(2**k - 2, 2**k - 2) for k in range(3, 13)], 406),
+        (cycle_graph(30), [(2, 2)] * 4 + [(2**k - 2, 2**k - 2) for k in range(3, 14)], 435),
+        (tripod_graph(5, 8, 11), [(2, 2)] * 4 + [(6, 6)], 98),
+        (comb_graph(12, 5), [(2, 2)] * 5, 67),
+    ],
+    ids=["cycle:29", "cycle:30", "tripod:5,8,11", "comb:12,5"],
+)
+def test_search_counts_are_pinned(graph, infeasible, feasible_nodes):
+    # (nodes, backtracks) for each infeasible r, then the first feasible r's nodes
+    outcomes = min_modulus_search(graph, len(infeasible))
+    assert all(isinstance(o, Infeasible) for o in outcomes[:-1])
+    assert [(o.nodes, o.backtracks) for o in outcomes[:-1]] == infeasible
+    assert isinstance(outcomes[-1], Feasible) and outcomes[-1].r == len(infeasible)
+    assert outcomes[-1].nodes == feasible_nodes
