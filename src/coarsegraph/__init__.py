@@ -12,7 +12,6 @@ from .graph_core import (
     DisconnectedGraph,
     Graph,
     GraphError,
-    GeodesicPath,
     InputError,
     PathMetric,
     SelfLoop,
@@ -55,7 +54,6 @@ from .qi_cert import FailurePoint, QuasiIsometryCert, Valid, tighten, verify_qi
 from .discretize import (
     DisconnectedNetGraph,
     FiniteMetricSpace,
-    Net,
     NetCertificate,
     StepTooCoarse,
     certify_net,

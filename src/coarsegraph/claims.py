@@ -48,7 +48,7 @@ def _chain_vertices(m: PathMetric, anchors) -> list[int]:
     """Anchor sequence threaded through deterministic geodesics."""
     walk = [anchors[0]]
     for a, b in zip(anchors, anchors[1:]):
-        walk.extend(geodesic_between(m, a, b).vertices[1:])
+        walk.extend(geodesic_between(m, a, b)[1:])
     return walk
 
 
@@ -116,7 +116,7 @@ def claim1_propagate(m, f: TwoSelector, r: int, v: int, a: int, b: int, p: int):
         return HypothesisUnmet("b inside B(v, p + r)")
     if f.choose(a, v) != a:
         return HypothesisUnmet("f({a, v}) is not a")
-    walk = geodesic_between(m, a, b).vertices
+    walk = geodesic_between(m, a, b)
     broken = _first_break(m, f, r, [vpair(u, v) for u in walk])
     return broken if broken is not None else Holds()
 
@@ -152,7 +152,7 @@ def _claim2_core(m, f: TwoSelector, r: int, zs, v: int, p: int, k: int, t: int):
     i = _first_within(row_m, zs[: k + 1], bound)
     if i is not None:
         return HypothesisUnmet(f"(2) fails: d(z_m, z_{i}) <= p + r")
-    geo = geodesic_between(m, v, zs[k]).vertices
+    geo = geodesic_between(m, v, zs[k])
     if _first_within(row_0, geo, bound) is not None:
         return HypothesisUnmet("(3) fails: geodesic meets B(z_0, p + r)")
     if _first_within(row_m, geo, bound) is not None:

@@ -213,8 +213,8 @@ def _cert_payload(cert: qi_cert.QuasiIsometryCert) -> dict:
     }
 
 
-def _witness_payload(w) -> dict:
-    return {"pair_a": list(w[0]), "pair_b": list(w[1])}
+def _witness_payload(w: Witness) -> dict:
+    return {"pair_a": list(w.pair_a), "pair_b": list(w.pair_b)}
 
 
 # --- subcommand handlers: return (outcome dict, exit code) ---------------
@@ -228,7 +228,7 @@ def cmd_metric(args):
         u, v = _pair(spec, g, "--pairs")
         entry = {"u": u, "v": v, "d": m.distance(u, v)}
         if args.geodesic:
-            entry["geodesic"] = list(geodesic_between(m, u, v).vertices)
+            entry["geodesic"] = list(geodesic_between(m, u, v))
         out.append(entry)
     return {"distances": out, "vertices": g.vertex_count}, 0
 
@@ -306,7 +306,7 @@ def _outcome_payload(outcome):
     if isinstance(outcome, Witness):
         return {
             "verdict": "witness",
-            "witness": _witness_payload((outcome.pair_a, outcome.pair_b)),
+            "witness": _witness_payload(outcome),
         }, 1
     if isinstance(outcome, claims_mod.HypothesisUnmet):
         return {"verdict": "hypothesis_unmet", "reason": outcome.reason}, 0
@@ -438,7 +438,7 @@ def cmd_net(args):
     """net build and net certify: a disconnected net graph is an exit-1 outcome of both."""
     space = _load_space(args)
     net = discretize.greedy_net(space)
-    labels = [_point_label(space.points[i]) for i in net.indices]
+    labels = [_point_label(space.points[i]) for i in net]
     try:
         graph = discretize.net_graph(space, net)
     except discretize.DisconnectedNetGraph as exc:
@@ -446,13 +446,13 @@ def cmd_net(args):
     if args.subcommand == "build":
         return {
             "net": labels,
-            "net_indices": list(net.indices),
+            "net_indices": list(net),
             "edges": graph.edge_list(),
             "vertices": graph.vertex_count,
         }, 0
     cert = discretize.certify_net(space, net, graph)
     return {
-        "net_indices": list(net.indices),
+        "net_indices": list(net),
         "largeness": _frac_str(cert.largeness),
         "max_ambient_over_4graph": _frac_str(cert.max_ambient_over_4graph),
         "max_4graph_over_ambient": _frac_str(cert.max_4graph_over_ambient),
@@ -596,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--order", required=True, help="order file, or 'natural'")
     q = leaf(ssub, "search", cmd_selector_search, graph_input)
     q.add_argument("--r-cap", type=int, action=_Nonnegative, required=True)
-    q.add_argument("--budget", type=int, default=500_000)
+    q.add_argument("--budget", type=int, action=_Nonnegative, default=500_000)
 
     pc = sub.add_parser("claims", help="consistency checks against a claimed modulus")
     csub = pc.add_subparsers(dest="subcommand", required=True)

@@ -97,35 +97,29 @@ def sample_space(shape, step) -> FiniteMetricSpace:
     return FiniteMetricSpace(pts, [[dist(x, y) for y in pts] for x in pts], step)
 
 
-@dataclass(frozen=True)
-class Net:
-    indices: tuple[int, ...]
-
-
-def greedy_net(space: FiniteMetricSpace) -> Net:
-    """Scan points in index order; admit when all admitted are beyond 2."""
+def greedy_net(space: FiniteMetricSpace) -> tuple[int, ...]:
+    """Net point indices: scan points in index order; admit when all admitted are beyond 2."""
     chosen: list[int] = []
     for i in range(space.n):
         if all(space.dist(i, j) > 2 for j in chosen):
             chosen.append(i)
-    return Net(tuple(chosen))
+    return tuple(chosen)
 
 
-def net_graph(space: FiniteMetricSpace, net: Net) -> Graph:
+def net_graph(space: FiniteMetricSpace, net: tuple[int, ...]) -> Graph:
     """Graph on net points under the shared-witness rule.
 
-    Net point i of ``net.indices`` becomes graph vertex i.  Each sample
+    Net point i of ``net`` becomes graph vertex i.  Each sample
     point joins every two net points within 2 of it, so one pass over the
     samples finds every edge.  Raises DisconnectedNetGraph when the rule
     does not connect the net.
     """
-    pts = net.indices
     edges = set()
     for row in space.dist_matrix:
-        near = [a for a, u in enumerate(pts) if row[u] <= 2]
+        near = [a for a, u in enumerate(net) if row[u] <= 2]
         edges.update(itertools.combinations(near, 2))
     try:
-        return build_graph(sorted(edges), vertex_count=len(pts))
+        return build_graph(sorted(edges), vertex_count=len(net))
     except DisconnectedGraph as exc:
         raise DisconnectedNetGraph(exc.components) from exc
 
@@ -137,19 +131,18 @@ class NetCertificate:
     max_4graph_over_ambient: Fraction
 
 
-def certify_net(space: FiniteMetricSpace, net: Net, graph: Graph) -> NetCertificate:
+def certify_net(space: FiniteMetricSpace, net: tuple[int, ...], graph: Graph) -> NetCertificate:
     """Covering radius of the net and exact ambient/graph comparability."""
-    pts = net.indices
     largeness = max(
-        min(space.dist(i, u) for u in pts) for i in range(space.n)
+        min(space.dist(i, u) for u in net) for i in range(space.n)
     )
     metric = PathMetric(graph)
     up = Fraction(0)
     down = Fraction(0)
-    for a in range(len(pts)):
+    for a in range(len(net)):
         row = metric.row(a)
-        for b in range(a + 1, len(pts)):
-            ambient = space.dist(pts[a], pts[b])
+        for b in range(a + 1, len(net)):
+            ambient = space.dist(net[a], net[b])
             graph_d = row[b]
             up = max(up, Fraction(ambient, 4 * graph_d))
             down = max(down, Fraction(4 * graph_d, 1) / ambient)

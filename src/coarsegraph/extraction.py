@@ -35,21 +35,19 @@ class Bounded:
 
 @dataclass
 class Ray:
-    coord: dict
     cert: QuasiIsometryCert
     diagnostics: dict
 
 
 @dataclass
 class Line:
-    coord: dict
     cert: QuasiIsometryCert
     diagnostics: dict
 
 
 @dataclass
 class Falsified:
-    witness: tuple[tuple[int, int], tuple[int, int]]
+    witness: Witness
     diagnostics: dict
 
 
@@ -58,7 +56,7 @@ def _seed_geodesic(m: PathMetric, length: int):
     s = next((v for v, ecc in m.eccentricities() if ecc >= length), None)
     if s is None:
         return None
-    return geodesic_between(m, s, m.row(s).index(length)).vertices
+    return geodesic_between(m, s, m.row(s).index(length))
 
 
 def _measure_slack(row_c, left, right) -> int:
@@ -79,11 +77,9 @@ def _certificate(m: PathMetric, coord: dict) -> QuasiIsometryCert:
     return cert
 
 
-def _falsify_or_none(m, f, r):
+def _falsify_or_none(m, f, r) -> Witness | None:
     verdict = verify_selector(m, f, r)
-    if isinstance(verdict, Witness):
-        return (verdict.pair_a, verdict.pair_b)
-    return None
+    return verdict if isinstance(verdict, Witness) else None
 
 
 def extract_line(
@@ -114,7 +110,7 @@ def extract_line(
         "asserted_r": r,
     }
     if r is None:
-        r = modulus(m, f).r
+        r = modulus(m, f).r if nverts >= 2 else 0  # no pairs: every selector has modulus 0
         diag["computed_r"] = r
     elif verify_asserted:
         witness = _falsify_or_none(m, f, r)
@@ -157,7 +153,7 @@ def extract_line(
 
         side = claim3_side(m, f, r, seq, probe, p, q=q)
         if isinstance(side, Witness):
-            return Falsified((side.pair_a, side.pair_b), diag)
+            return Falsified(side, diag)
         if isinstance(side, HypothesisUnmet):
             diag["anomalies"].append(f"probe {probe}: {side.reason}")
             continue
@@ -169,7 +165,7 @@ def extract_line(
             branch = "center" if f.choose(c, host[r - 1]) == c else "side"
             diag["branches"].append(branch)
 
-        geo = geodesic_between(m, c, probe).vertices
+        geo = geodesic_between(m, c, probe)
         splice_at = None
         anchor_row = m.row(anchor)
         for j in range(1, len(geo) - 1):
@@ -231,5 +227,5 @@ def extract_line(
             coord = {v: -x for v, x in coord.items()}
         shift = -min(coord.values())
         coord = {v: x + shift for v, x in coord.items()}
-        return Ray(coord, _certificate(m, coord), diag)
-    return Line(coord, _certificate(m, coord), diag)
+        return Ray(_certificate(m, coord), diag)
+    return Line(_certificate(m, coord), diag)

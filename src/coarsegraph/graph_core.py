@@ -8,7 +8,6 @@ caller's business.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,9 +81,6 @@ class Graph:
 
     def closed_neighborhood(self, v: int) -> tuple[int, ...]:
         return tuple(sorted((v, *self.adjacency[v])))
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
     def edge_list(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.vertex_count) for v in self.adjacency[u] if u < v]
@@ -163,7 +159,9 @@ class PathMetric:
     Distance rows are materialized lazily, one BFS per queried source, and
     memoized.  A dense all-pairs matrix is built on demand for graphs with
     at most ``dense_cap`` vertices; larger graphs stay row-based.  Once the
-    matrix exists, a row is read from it, so no distance is computed twice.
+    matrix exists, a row is read from it, so no distance is computed twice,
+    and a single distance outside the row memo is read from the matrix
+    without memoizing a row beside it.
     """
 
     def __init__(self, graph: Graph, dense_cap: int = 4096):
@@ -188,6 +186,11 @@ class PathMetric:
         return dist
 
     def distance(self, u: int, v: int) -> int:
+        cached = self._rows.get(u)  # the memo first: the common case of row-only scans
+        if cached is not None:
+            return cached[v]
+        if self._dense is not None:
+            return int(self._dense[u, v])
         return self.row(u)[v]
 
     def ball(self, v: int, radius: int) -> set[int]:
@@ -247,23 +250,8 @@ class PathMetric:
         return dist
 
 
-@dataclass(frozen=True)
-class GeodesicPath:
-    """Vertex sequence v0..vm with consecutive edges and d(v0, vm) = m."""
-
-    vertices: tuple[int, ...]
-
-    def validate(self, m: PathMetric) -> None:
-        vs = self.vertices
-        for a, b in zip(vs, vs[1:]):
-            if b not in m.graph.adjacency[a]:
-                raise ValueError(f"non-adjacent step ({a}, {b})")
-        if m.distance(vs[0], vs[-1]) != len(vs) - 1:
-            raise ValueError("sequence is not distance-realizing")
-
-
-def geodesic_between(m: PathMetric, u: int, v: int) -> GeodesicPath:
-    """Deterministic geodesic from u to v.
+def geodesic_between(m: PathMetric, u: int, v: int) -> tuple[int, ...]:
+    """Deterministic geodesic from u to v: the vertices v0 = u .. vm = v.
 
     The path is reconstructed backward from v, always stepping to the
     smallest-id neighbor one BFS layer closer to u.
@@ -281,4 +269,4 @@ def geodesic_between(m: PathMetric, u: int, v: int) -> GeodesicPath:
                 break
         path.append(cur)
     path.reverse()
-    return GeodesicPath(tuple(path))
+    return tuple(path)

@@ -53,9 +53,6 @@ class QuasiIsometryCert:
     C: int
     D: int
 
-    def domain(self) -> list[int]:
-        return sorted(self.coord)
-
 
 @dataclass(frozen=True)
 class Valid:
@@ -68,10 +65,6 @@ class FailurePoint:
 
     u: int
     v: int | None = None
-
-    @property
-    def is_coverage(self) -> bool:
-        return self.v is None
 
 
 def _domain(m: PathMetric, coord: dict) -> tuple[list[int], list[int]]:

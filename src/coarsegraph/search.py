@@ -134,7 +134,7 @@ def min_modulus_search(
             outcomes.append(Infeasible(r, nodes, backtracks))
             continue
         table = {pairs[i]: v for i, v in assignment.items()}
-        selector = selector_from_table(table, name=f"search-r{r}")
+        selector = selector_from_table(table)
         if not isinstance(verify_selector(m, selector, r), Holds):
             raise InvariantError("search produced a selector that fails verification")
         outcomes.append(Feasible(r, selector, nodes))

@@ -42,7 +42,7 @@ class Witness:
 @dataclass(frozen=True)
 class Modulus:
     r: int
-    witness: tuple[tuple[int, int], tuple[int, int]]
+    witness: Witness
 
 
 class TwoSelector:
@@ -56,14 +56,13 @@ class TwoSelector:
     in a pair-indexed choice array built from the table.
     """
 
-    __slots__ = ("coord", "table", "name")
+    __slots__ = ("coord", "table")
 
-    def __init__(self, coord=None, table=None, name: str = "selector"):
+    def __init__(self, coord=None, table=None):
         if (coord is None) == (table is None):
             raise InvalidSelector("exactly one of coord/table required")
         self.coord = list(coord) if coord is not None else None
         self.table = table
-        self.name = name
         if self.coord is not None and len(set(self.coord)) != len(self.coord):
             raise NonInjectiveCoordinate("coordinate values must be distinct")
         if table is not None:
@@ -83,7 +82,7 @@ class TwoSelector:
 
     def __repr__(self):
         kind = "coord" if self.coord is not None else f"table[{len(self.table)}]"
-        return f"TwoSelector({self.name}, {kind})"
+        return f"TwoSelector({kind})"
 
 
 class PrecRelation:
@@ -100,7 +99,7 @@ class PrecRelation:
 
 def min_selector(coord) -> TwoSelector:
     """Selector choosing the element with the smaller coordinate value."""
-    return TwoSelector(coord=coord, name="min")
+    return TwoSelector(coord=coord)
 
 
 def order_to_selector(order) -> TwoSelector:
@@ -110,11 +109,11 @@ def order_to_selector(order) -> TwoSelector:
     bare rank sequence.
     """
     rank = getattr(order, "rank", order)
-    return TwoSelector(coord=rank, name="order-min")
+    return TwoSelector(coord=rank)
 
 
-def selector_from_table(table: dict, name: str = "table") -> TwoSelector:
-    return TwoSelector(table=dict(table), name=name)
+def selector_from_table(table: dict) -> TwoSelector:
+    return TwoSelector(table=dict(table))
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ class BornologousSelector:
         return min(vs, key=lambda v: self.coord[v])
 
     def restrict_to_pairs(self) -> TwoSelector:
-        return TwoSelector(coord=list(self.coord), name="min")
+        return TwoSelector(coord=list(self.coord))
 
 
 def lift_bornologous(coord) -> BornologousSelector:
@@ -210,11 +209,11 @@ def _jump_blocks(m: PathMetric, f: TwoSelector):
         yield a, b, X, Y, np.where(x == y, -1, jumps).transpose(2, 0, 1)
 
 
-def _entry(block, index: int):
-    """The (A, B) pair of pairs at a flat index into a block's jumps."""
+def _entry(block, index: int) -> Witness:
+    """The pair of pairs A, B at a flat index into a block's jumps."""
     a, b, X, Y, jumps = block
     i, s, t = np.unravel_index(index, jumps.shape)
-    return (int(a[i]), int(b[i])), vpair(int(X[s, i]), int(Y[t, i]))
+    return Witness((int(a[i]), int(b[i])), vpair(int(X[s, i]), int(Y[t, i])))
 
 
 def modulus(m: PathMetric, f: TwoSelector) -> Modulus:
@@ -245,7 +244,7 @@ def verify_selector(m: PathMetric, f: TwoSelector, r: int):
     for block in _jump_blocks(m, f):
         jumps = block[-1]
         if jumps.max() > r:
-            return Witness(*_entry(block, int((jumps > r).argmax())))
+            return _entry(block, int((jumps > r).argmax()))
     return Holds()
 
 

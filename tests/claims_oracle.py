@@ -46,7 +46,7 @@ def oracle_claim2(m, f, r, zs, v, p):
     if unmet is not None:
         return unmet
     _, k = _nearest_index(m, v, zs)
-    geo = geodesic_between(m, v, zs[k]).vertices
+    geo = geodesic_between(m, v, zs[k])
     t = len(geo) - 1
     if t <= p + r:
         return Holds()

@@ -64,13 +64,26 @@ def exp_contains(m, A, B, radius: int) -> bool:
     return True
 
 
+def validate_geodesic(m, vs) -> None:
+    """Raise ValueError unless v0..vm has consecutive edges and d(v0, vm) = m."""
+    for a, b in zip(vs, vs[1:]):
+        if b not in m.graph.adjacency[a]:
+            raise ValueError(f"non-adjacent step ({a}, {b})")
+    if m.distance(vs[0], vs[-1]) != len(vs) - 1:
+        raise ValueError("sequence is not distance-realizing")
+
+
+def degree(graph, v: int) -> int:
+    return len(graph.adjacency[v])
+
+
 def random_tournament(graph, rng: random.Random):
     n = graph.vertex_count
     table = {}
     for a in range(n):
         for b in range(a + 1, n):
             table[(a, b)] = a if rng.random() < 0.5 else b
-    return selector_from_table(table, name="fuzz")
+    return selector_from_table(table)
 
 
 @pytest.fixture(scope="session")

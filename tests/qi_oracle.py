@@ -13,7 +13,7 @@ from coarsegraph.qi_cert import FailurePoint, QuasiIsometryCert, Valid
 
 
 def oracle_verify(m, cert: QuasiIsometryCert):
-    S = cert.domain()
+    S = sorted(cert.coord)
     if not S:
         raise ValueError("certificate domain is empty")
     lam = Fraction(cert.lam)

@@ -44,7 +44,7 @@ def first_attaining_over(m, f, r: int):
 
 def oracle_modulus(m, f) -> Modulus:
     r = max(jump for _, _, jump in scan_pairs(m, f))
-    return Modulus(r, first_attaining(m, f, r))
+    return Modulus(r, Witness(*first_attaining(m, f, r)))
 
 
 def oracle_verify(m, f, r: int):

@@ -48,7 +48,7 @@ from coarsegraph.order_compat import (
 from coarsegraph.search import Feasible, min_modulus_search
 from coarsegraph.generators import comb_graph, grid_graph, path_graph, tripod_graph
 
-from conftest import brute_hausdorff, floyd_warshall, random_tournament
+from conftest import brute_hausdorff, degree, floyd_warshall, random_tournament
 from search_oracle import exhaustive_min_modulus
 
 HALF = Fraction(1, 2)
@@ -146,7 +146,7 @@ def test_criterion_4_falsification_soundness():
             res = extract_line(m, f, r=1)
             if isinstance(res, Falsified):
                 falsified += 1
-                if not witness_is_violation(m, f, 1, *res.witness):
+                if not witness_is_violation(m, f, 1, res.witness.pair_a, res.witness.pair_b):
                     bad_witness += 1
             elif isinstance(res, (Ray, Line)):
                 if not isinstance(verify_qi(m, res.cert), Valid):
@@ -166,7 +166,7 @@ def _claim_config_family(m, p):
         for t in range(n):
             if t == s or row[t] <= p + 1:
                 continue
-            geo = cg.geodesic_between(m, s, t).vertices
+            geo = cg.geodesic_between(m, s, t)
             for step in range(1, p + 1):
                 z = geo[::step]
                 if z[-1] != geo[-1]:
@@ -233,7 +233,7 @@ def test_criterion_7_discretization():
     # segment(10) at step 1/2
     sp = sample_space(("segment", 10), HALF)
     net = greedy_net(sp)
-    positions = [sp.points[i] for i in net.indices]
+    positions = [sp.points[i] for i in net]
     if positions != [0, Fraction(5, 2), 5, Fraction(15, 2), 10]:
         failures.append(f"segment net {positions}")
     g = net_graph(sp, net)
@@ -251,21 +251,21 @@ def test_criterion_7_discretization():
     net = greedy_net(sp)
     g = net_graph(sp, net)
     edges = g.edge_list()
-    k = len(net.indices)
-    is_cycle = len(edges) == k and all(g.degree(v) == 2 for v in range(k))
+    k = len(net)
+    is_cycle = len(edges) == k and all(degree(g, v) == 2 for v in range(k))
     if not (k == 4 and is_cycle):
         failures.append(
             f"circle(10) net graph is not C4: {k} net points "
-            f"{[str(sp.points[i]) for i in net.indices]}, edges {edges}"
+            f"{[str(sp.points[i]) for i in net]}, edges {edges}"
         )
     # rectangle(4,4): connected net graph with d <= 4 m throughout
     sp = sample_space(("rectangle", 4, 4), HALF)
     net = greedy_net(sp)
     g = net_graph(sp, net)  # raises DisconnectedNetGraph if not connected
     metric = PathMetric(g)
-    for a in range(len(net.indices)):
-        for b in range(a + 1, len(net.indices)):
-            ambient = sp.dist(net.indices[a], net.indices[b])
+    for a in range(len(net)):
+        for b in range(a + 1, len(net)):
+            ambient = sp.dist(net[a], net[b])
             if ambient > 4 * metric.distance(a, b):
                 failures.append(
                     f"rectangle comparability fails at net pair ({a}, {b})"

@@ -202,7 +202,7 @@ def _drawn_chain(m, rng, p):
         for _ in range(rng.randint(0, 30)):
             walk.append(rng.choice(sorted(m.ball(walk[-1], max(p, 1)))))
         return tuple(walk)
-    walk = geodesic_between(m, rng.randrange(n), rng.randrange(n)).vertices
+    walk = geodesic_between(m, rng.randrange(n), rng.randrange(n))
     step = rng.randint(1, max(p, 1))
     return walk[rng.randrange(min(step, len(walk))) :: step]
 

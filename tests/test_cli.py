@@ -409,6 +409,14 @@ def test_selector_modulus_rejects_one_vertex_graph(capsys):
     assert "at least two vertices" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("extra", [[], ["--assert-r", "0"]], ids=["computed", "asserted"])
+def test_extract_on_a_one_vertex_graph_is_bounded(capsys, extra):
+    code, out = _capture(capsys, ["extract", "--generate", "path:1", "--selector", "min", *extra])
+    outcome = json.loads(out)["outcome"]
+    assert code == 0
+    assert (outcome["result"], outcome["radius"], outcome["diagnostics"]["r"]) == ("bounded", 0, 0)
+
+
 def test_selector_verify_rejects_negative_radius(capsys):
     code, out = _capture(
         capsys, ["selector", "verify", "--generate", "path:6", "--selector", "min", "--r", "-1"]
@@ -421,6 +429,12 @@ def test_selector_search_rejects_negative_cap(capsys):
     code, out = _capture(capsys, ["selector", "search", "--generate", "path:4", "--r-cap", "-1"])
     assert code == 2
     assert "--r-cap must be nonnegative" in json.loads(out)["error"]
+
+
+def test_selector_search_rejects_negative_budget(capsys):
+    code, out = _capture(capsys, ["selector", "search", "--generate", "path:4", "--r-cap", "1", "--budget", "-5"])
+    assert code == 2
+    assert "--budget must be nonnegative" in json.loads(out)["error"]
 
 
 def test_selector_search_budget_is_input_error(capsys):

@@ -18,6 +18,8 @@ from coarsegraph.discretize import (
     write_sample_file,
 )
 
+from conftest import degree
+
 HALF = Fraction(1, 2)
 
 
@@ -33,8 +35,7 @@ def edge_witness(sp, u, v):
     return None
 
 
-def oracle_net_edges(sp, net):
-    pts = net.indices
+def oracle_net_edges(sp, pts):
     return [
         (a, b)
         for a in range(len(pts))
@@ -70,9 +71,8 @@ def is_chain_connected(sp) -> bool:
     return len(seen) == sp.n
 
 
-def net_is_valid(sp, net) -> bool:
+def net_is_valid(sp, pts) -> bool:
     """Net points pairwise beyond 2, and every sample within 2 of one."""
-    pts = net.indices
     for a in range(len(pts)):
         for b in range(a + 1, len(pts)):
             if sp.dist(pts[a], pts[b]) <= 2:
@@ -134,20 +134,20 @@ def test_non_dividing_step_rejected():
 def test_greedy_net_segment():
     sp = sample_space(("segment", 10), HALF)
     net = greedy_net(sp)
-    assert [sp.points[i] for i in net.indices] == [0, Fraction(5, 2), 5, Fraction(15, 2), 10]
+    assert [sp.points[i] for i in net] == [0, Fraction(5, 2), 5, Fraction(15, 2), 10]
     assert net_is_valid(sp, net)
 
 
 def test_two_far_points_both_admitted():
     sp = FiniteMetricSpace([0, 5], [[Fraction(0), Fraction(5)], [Fraction(5), Fraction(0)]], Fraction(5))
     net = greedy_net(sp)
-    assert net.indices == (0, 1)
+    assert net == (0, 1)
 
 
 def test_greedy_net_circle():
     sp = sample_space(("circle", 12), HALF)
     net = greedy_net(sp)
-    assert [sp.points[i] for i in net.indices] == [0, Fraction(5, 2), 5, Fraction(15, 2)]
+    assert [sp.points[i] for i in net] == [0, Fraction(5, 2), 5, Fraction(15, 2)]
     assert net_is_valid(sp, net)
 
 
@@ -157,9 +157,9 @@ def test_net_graph_segment_is_path():
     g = net_graph(sp, net)
     assert g.edge_list() == [(0, 1), (1, 2), (2, 3), (3, 4)]
     # consecutive net points share a witness sample
-    w = edge_witness(sp, net.indices[0], net.indices[1])
+    w = edge_witness(sp, net[0], net[1])
     assert w is not None
-    assert sp.dist(w, net.indices[0]) <= 2 and sp.dist(w, net.indices[1]) <= 2
+    assert sp.dist(w, net[0]) <= 2 and sp.dist(w, net[1]) <= 2
 
 
 def test_net_graph_single_point():
@@ -198,8 +198,8 @@ def test_largeness_zero_when_net_is_everything():
     mat = [[Fraction(0), d], [d, Fraction(0)]]
     sp = FiniteMetricSpace([0, 1], mat, d)
     net = greedy_net(sp)
-    assert net.indices == (0, 1)
-    largeness = max(min(sp.dist(i, u) for u in net.indices) for i in range(sp.n))
+    assert net == (0, 1)
+    largeness = max(min(sp.dist(i, u) for u in net) for i in range(sp.n))
     assert largeness == 0
 
 
@@ -209,9 +209,9 @@ def test_edge_rule_matches_four_bound_on_half_grid_nets():
     for shape in (("segment", 10), ("circle", 12)):
         sp = sample_space(shape, HALF)
         net = greedy_net(sp)
-        for ai in range(len(net.indices)):
-            for bi in range(ai + 1, len(net.indices)):
-                u, v = net.indices[ai], net.indices[bi]
+        for ai in range(len(net)):
+            for bi in range(ai + 1, len(net)):
+                u, v = net[ai], net[bi]
                 has_witness = edge_witness(sp, u, v) is not None
                 assert has_witness == (sp.dist(u, v) <= 4)
 
@@ -230,9 +230,9 @@ def test_circle10_net_graph_is_a_cycle():
     sp = sample_space(("circle", 10), HALF)
     net = greedy_net(sp)
     g = net_graph(sp, net)
-    assert len(net.indices) == 4
+    assert len(net) == 4
     assert len(g.edge_list()) == 4
-    assert all(g.degree(v) == 2 for v in range(4))
+    assert all(degree(g, v) == 2 for v in range(4))
 
 
 def test_segment_net_is_quasi_isometric_to_its_order():
@@ -325,7 +325,7 @@ def check_net_graph(sp):
     net = greedy_net(sp)
     edges = oracle_net_edges(sp, net)
     oracle = nx.Graph()
-    oracle.add_nodes_from(range(len(net.indices)))
+    oracle.add_nodes_from(range(len(net)))
     oracle.add_edges_from(edges)
     if nx.is_connected(oracle):
         assert net_graph(sp, net).edge_list() == edges

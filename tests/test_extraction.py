@@ -63,7 +63,7 @@ def test_ray_coordinate_is_natural():
     m = PathMetric(g)
     res = extract_line(m, min_selector(_ids(g)))
     if isinstance(res, Ray):
-        assert min(res.coord.values()) == 0
+        assert min(res.cert.coord.values()) == 0
 
 
 def test_grid12_computed_modulus_is_bounded():
@@ -82,7 +82,7 @@ def test_grid12_false_assertion_is_falsified():
     f = random_tournament(g, rng)
     res = extract_line(m, f, r=1)
     assert isinstance(res, Falsified)
-    assert witness_is_violation(m, f, 1, *res.witness)
+    assert witness_is_violation(m, f, 1, res.witness.pair_a, res.witness.pair_b)
 
 
 def test_fuzzed_assertions_all_sound():
@@ -93,7 +93,7 @@ def test_fuzzed_assertions_all_sound():
         f = random_tournament(g, rng)
         res = extract_line(m, f, r=1)
         if isinstance(res, Falsified):
-            assert witness_is_violation(m, f, 1, *res.witness)
+            assert witness_is_violation(m, f, 1, res.witness.pair_a, res.witness.pair_b)
         elif isinstance(res, (Ray, Line)):
             assert isinstance(verify_qi(m, res.cert), Valid)
 
@@ -104,7 +104,7 @@ def test_in_loop_falsification_on_tripod():
     f = random_tournament(g, random.Random(42))
     res = extract_line(m, f, r=1, verify_asserted=False)
     assert isinstance(res, Falsified)
-    assert witness_is_violation(m, f, 1, *res.witness)
+    assert witness_is_violation(m, f, 1, res.witness.pair_a, res.witness.pair_b)
     assert res.diagnostics["splices_left"] + res.diagnostics["splices_right"] >= 1
 
 
@@ -123,7 +123,7 @@ def test_coverage_when_ray_returned():
     m = PathMetric(g)
     res = extract_line(m, min_selector(_ids(g)))
     assert isinstance(res, (Ray, Line))
-    domain = set(res.coord)
+    domain = set(res.cert.coord)
     dist = m.distances_from_set(domain)
     assert max(dist) <= res.diagnostics["coverage_radius"]
 
@@ -135,7 +135,7 @@ def test_extraction_is_deterministic():
     first = extract_line(m, f)
     second = extract_line(PathMetric(g), f)
     assert type(first) is type(second)
-    assert first.coord == second.coord
+    assert first.cert.coord == second.cert.coord
     assert first.cert == second.cert
 
 
@@ -150,6 +150,17 @@ def test_bounded_extraction_keeps_no_row_lists_beside_the_matrix():
     assert len(m._rows) < g.vertex_count
 
 
+@pytest.mark.parametrize("n,kind", [(300, Ray), (80, Line)])
+def test_ray_and_line_extraction_read_steps_from_the_matrix(n, kind):
+    # the final line's steps are single distances: read from the matrix that
+    # computing r built, not memoized as one row list per line vertex
+    g = path_graph(n)
+    m = PathMetric(g)
+    assert isinstance(extract_line(m, min_selector(_ids(g))), kind)
+    assert m._dense is not None
+    assert len(m._rows) < n // 10
+
+
 @pytest.mark.parametrize("dense", [False, True], ids=["rows", "matrix"])
 def test_seed_geodesic_is_the_lowest_seed_at_the_length(dense):
     for g in (path_graph(30), grid_graph(6, 5), tripod_graph(4, 7, 9)):
@@ -159,5 +170,5 @@ def test_seed_geodesic_is_the_lowest_seed_at_the_length(dense):
             if dense:
                 m.dense_matrix()
             s = next((v for v in range(g.vertex_count) if max(oracle.row(v)) >= length), None)
-            expected = None if s is None else geodesic_between(oracle, s, oracle.row(s).index(length)).vertices
+            expected = None if s is None else geodesic_between(oracle, s, oracle.row(s).index(length))
             assert _seed_geodesic(m, length) == expected

@@ -34,7 +34,7 @@ def test_coverage_failure_points_at_first_uncovered():
     cert = QuasiIsometryCert({0: 0}, Fraction(1), 0, 3)
     failure = verify_qi(m, cert)
     assert failure == FailurePoint(4)
-    assert failure.is_coverage
+    assert failure.v is None
 
 
 def test_tighten_identity():

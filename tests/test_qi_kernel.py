@@ -95,7 +95,7 @@ def test_extract_certificate_equals_oracle_tighten(g, tournament):
     else:
         res = extract_line(m, tournament, r=1, verify_asserted=False)
     assert isinstance(res, (Ray, Line))
-    assert res.cert == oracle_tighten(m, res.coord)
+    assert res.cert == oracle_tighten(m, res.cert.coord)
     assert isinstance(oracle_verify(m, res.cert), Valid)
 
 

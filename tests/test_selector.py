@@ -50,7 +50,7 @@ def test_modulus_min_on_p10():
     m = PathMetric(path_graph(10))
     res = modulus(m, min_selector(list(range(10))))
     assert res.r == 1
-    assert witness_is_violation(m, min_selector(list(range(10))), 0, *res.witness)
+    assert witness_is_violation(m, min_selector(list(range(10))), 0, res.witness.pair_a, res.witness.pair_b)
 
 
 def test_modulus_p2_any_selector():
@@ -163,7 +163,7 @@ def test_extraction_coordinate_round_trip():
     g = path_graph(200)
     m = PathMetric(g)
     result = extract_line(m, min_selector(list(range(200))))
-    coord = result.coord
+    coord = result.cert.coord
     # an injective coordinate over the whole graph induces a selector again
     values = [coord[v] for v in range(200)]
     f = min_selector(values)
