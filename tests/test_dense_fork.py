@@ -15,10 +15,10 @@ import pytest
 
 from coarsegraph import (
     ClaimConfig,
+    Line,
     PathMetric,
     QuasiIsometryCert,
     Ray,
-    Line,
     build_graph,
     claim2_check,
     claim3_side,
