@@ -255,7 +255,7 @@ def cmd_selector_modulus(args):
     res = selector_mod.modulus(m, f)
     return {
         "r": res.r,
-        "witness": _witness_payload(res.witness),
+        "witness": None if res.witness is None else _witness_payload(res.witness),
     }, 0
 
 
@@ -488,7 +488,7 @@ def cmd_order_compat(args):
     order = _load_order(args, args.order, g.vertex_count)
     report = order_compat.min_compat_radius(m, order, args.e, cap=args.cap)
     f = selector_mod.order_to_selector(order)
-    sel_r = selector_mod.modulus(m, f).r if g.vertex_count >= 2 else 0
+    sel_r = selector_mod.modulus(m, f).r
     payload = {"e": report.e, "order_selector_modulus": sel_r}
     if isinstance(report.result, order_compat.MinimalG):
         payload["result"] = {"g": report.result.g}

@@ -1,24 +1,40 @@
 """Sampled geodesic spaces, greedy separation nets, and the net graph.
 
-Distances are exact rationals.  A net is a maximal subset with pairwise
-distance strictly above 2 (unit balls around distinct net points are
-disjoint); net points u, v are joined when some sample point lies within 2
-of both.  On half-step samples this joins exactly the net pairs at ambient
-distance <= 4, so a sampled circle's net graph is a cycle only when its
-wrap-around gap is <= 4: circle(12) at step 1/2 gives the net 0, 5/2, 5,
-15/2 with a gap of 9/2, hence P_4, and certify_net reports
-max_4graph_over_ambient = 8/3.
+Distances are held as integers in units of 1/L: a space stores the matrix
+k with d(i, j) = k[i, j] / L and the unit L, the least common denominator of
+its distances.  A sample at step p/q has L = q and k = p times an index
+distance; a parsed sample has the L of its fields.  Every layer compares
+integers (d > 2 iff k > 2L, ratios by cross-multiplication), and a
+``Fraction`` is made only where a report or a sample file prints a value.
+The matrix is int64 when its entries and 2L stay within 2**62, and a numpy
+object array of Python ints otherwise, so nothing wraps.
+
+A net is a maximal subset with pairwise distance strictly above 2 (unit
+balls around distinct net points are disjoint); net points u, v are joined
+when some sample point lies within 2 of both.  On half-step samples this
+joins exactly the net pairs at ambient distance <= 4, so a sampled circle's
+net graph is a cycle only when its wrap-around gap is <= 4: circle(12) at
+step 1/2 gives the net 0, 5/2, 5, 15/2 with a gap of 9/2, hence P_4, and
+certify_net reports max_4graph_over_ambient = 8/3.
+
+A sample holds at most SAMPLE_CAP points; a shape or a sample-file header
+above it is refused before any matrix is allocated.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
+
 from .graph_core import (
     DisconnectedGraph, Graph, InputError, PathMetric, build_graph, field_error, tokenize
 )
+from .qi_cert import INT64_SAFE
+
+SAMPLE_CAP = 4096  # most points a sample may hold: an n x n matrix of 128 MB in int64
 
 
 class StepTooCoarse(InputError):
@@ -33,11 +49,15 @@ class DisconnectedNetGraph(ValueError):
 
 @dataclass
 class FiniteMetricSpace:
-    """Finite point set with an exact rational metric and sampling density delta."""
+    """Finite point set with an exact metric in integer units and sampling density delta.
+
+    d(i, j) = units[i, j] / unit and delta = delta_units / unit.
+    """
 
     points: list
-    dist_matrix: list[list[Fraction]]
-    delta: Fraction
+    units: np.ndarray
+    unit: int
+    delta_units: int
 
     def __post_init__(self):
         if not self.points:
@@ -47,8 +67,18 @@ class FiniteMetricSpace:
     def n(self) -> int:
         return len(self.points)
 
+    @property
+    def delta(self) -> Fraction:
+        return Fraction(self.delta_units, self.unit)
+
     def dist(self, i: int, j: int) -> Fraction:
-        return self.dist_matrix[i][j]
+        """d(i, j) as an exact rational, for printing and tests."""
+        return Fraction(int(self.units[i, j]), self.unit)
+
+
+def _dtype(bound: int):
+    """int64 when every entry and 2L are at most ``bound`` <= 2**62, else Python ints."""
+    return np.int64 if bound <= INT64_SAFE else object
 
 
 def _check_step(step: Fraction) -> Fraction:
@@ -67,59 +97,73 @@ def _count(total, step: Fraction) -> int:
     return int(ratio)
 
 
+def _check_cap(count: int) -> None:
+    if count > SAMPLE_CAP:
+        raise InputError(f"the sample would hold {count} points, above the cap of {SAMPLE_CAP}")
+
+
 def sample_space(shape, step) -> FiniteMetricSpace:
     """Sample a segment, circle or rectangle at the given step.
 
     ``shape`` is ("segment", length), ("circle", circumference) or
     ("rectangle", width, height).  Segments and circles carry their
     intrinsic arc metric; rectangles are sampled on the grid with the L1
-    intrinsic metric.  Requires step <= 1/2.
+    intrinsic metric.  Requires step <= 1/2 and at most SAMPLE_CAP points.
+    Distances are index distances times the step's numerator, in units of
+    its denominator.
     """
     step = _check_step(step)
     kind = shape[0]
-    if kind == "segment":
-        pts = [step * k for k in range(_count(shape[1], step) + 1)]
-        def dist(x, y):
-            return abs(x - y)
-    elif kind == "circle":
-        circumference = Fraction(shape[1])
-        pts = [step * k for k in range(_count(circumference, step))]
-        def dist(x, y):
-            return min(abs(x - y), circumference - abs(x - y))
+    if kind in ("segment", "circle"):
+        count = _count(shape[1], step) + (1 if kind == "segment" else 0)
+        _check_cap(count)
+        pts = [step * k for k in range(count)]
+        idx = np.arange(len(pts))
+        hops = abs(idx[:, None] - idx[None, :])
+        if kind == "circle":
+            hops = np.minimum(hops, count - hops)
     elif kind == "rectangle":
         w = _count(shape[1], step) + 1
         h = _count(shape[2], step) + 1
-        pts = [(step * i, step * j) for i in range(w) for j in range(h)]
-        def dist(p, q):
-            return abs(p[0] - q[0]) + abs(p[1] - q[1])
+        _check_cap(max(w, 0) * max(h, 0))
+        xs = [step * i for i in range(w)]
+        ys = [step * j for j in range(h)]
+        pts = [(x, y) for x in xs for y in ys]
+        col, row = np.divmod(np.arange(len(pts)), max(h, 1))
+        hops = abs(col[:, None] - col[None, :]) + abs(row[:, None] - row[None, :])
     else:
         raise InputError(f"unknown shape {kind!r}")
-    return FiniteMetricSpace(pts, [[dist(x, y) for y in pts] for x in pts], step)
+    p, q = step.numerator, step.denominator
+    units = hops.astype(_dtype(max(int(hops.max(initial=0)) * p, 2 * q)), copy=False)
+    units *= p
+    return FiniteMetricSpace(pts, units, q, p)
 
 
 def greedy_net(space: FiniteMetricSpace) -> tuple[int, ...]:
     """Net point indices: scan points in index order; admit when all admitted are beyond 2."""
+    two = 2 * space.unit
     chosen: list[int] = []
+    near_chosen = np.zeros(space.n, dtype=bool)
     for i in range(space.n):
-        if all(space.dist(i, j) > 2 for j in chosen):
+        if not near_chosen[i]:
             chosen.append(i)
+            near_chosen |= space.units[i] <= two
     return tuple(chosen)
 
 
 def net_graph(space: FiniteMetricSpace, net: tuple[int, ...]) -> Graph:
     """Graph on net points under the shared-witness rule.
 
-    Net point i of ``net`` becomes graph vertex i.  Each sample
-    point joins every two net points within 2 of it, so one pass over the
-    samples finds every edge.  Raises DisconnectedNetGraph when the rule
-    does not connect the net.
+    Net point i of ``net`` becomes graph vertex i.  Two net points are
+    joined when some sample point lies within 2 of both: the boolean
+    product of the samples-by-net nearness matrix with itself.  Raises
+    DisconnectedNetGraph when the rule does not connect the net.
     """
-    edges = set()
-    for row in space.dist_matrix:
-        near = [a for a, u in enumerate(net) if row[u] <= 2]
-        edges.update(itertools.combinations(near, 2))
+    near = space.units[:, list(net)] <= 2 * space.unit
+    shared = np.triu(near.T @ near, 1)
+    edges = [(int(a), int(b)) for a, b in np.argwhere(shared)]
     try:
-        return build_graph(sorted(edges), vertex_count=len(net))
+        return build_graph(edges, vertex_count=len(net))
     except DisconnectedGraph as exc:
         raise DisconnectedNetGraph(exc.components) from exc
 
@@ -132,29 +176,46 @@ class NetCertificate:
 
 
 def certify_net(space: FiniteMetricSpace, net: tuple[int, ...], graph: Graph) -> NetCertificate:
-    """Covering radius of the net and exact ambient/graph comparability."""
-    largeness = max(
-        min(space.dist(i, u) for u in net) for i in range(space.n)
-    )
+    """Covering radius of the net and exact ambient/graph comparability.
+
+    Over net pairs at graph distance g, ambient/(4g) is largest at the
+    largest ambient distance and 4g/ambient at the smallest, so one
+    candidate per g is kept and the candidates are compared by
+    cross-multiplying Python ints.
+    """
+    L = space.unit
+    cols = list(net)
+    largeness = space.units[:, cols].min(axis=1).max()
+    k = len(net)
     metric = PathMetric(graph)
-    up = Fraction(0)
-    down = Fraction(0)
-    for a in range(len(net)):
-        row = metric.row(a)
-        for b in range(a + 1, len(net)):
-            ambient = space.dist(net[a], net[b])
-            graph_d = row[b]
-            up = max(up, Fraction(ambient, 4 * graph_d))
-            down = max(down, Fraction(4 * graph_d, 1) / ambient)
-    return NetCertificate(largeness, up, down)
+    a, b = np.triu_indices(k, 1)
+    graph_d = metric.distance_block(list(range(k)), list(range(k)))[a, b]
+    ambient = space.units[np.ix_(cols, cols)][a, b]
+    far = np.full(k, -1, dtype=ambient.dtype)  # -1: no pair at this g
+    np.maximum.at(far, graph_d, ambient)
+    near = far.copy()
+    np.minimum.at(near, graph_d, ambient)
+    up, down = (0, 1), (0, 1)
+    for g in np.flatnonzero(far >= 0).tolist():
+        # ratios as (numerator, denominator) pairs of Python ints
+        cand_up, cand_down = (int(far[g]), 4 * g * L), (4 * g * L, int(near[g]))
+        if cand_up[0] * up[1] > up[0] * cand_up[1]:
+            up = cand_up
+        if cand_down[0] * down[1] > down[0] * cand_down[1]:
+            down = cand_down
+    return NetCertificate(Fraction(int(largeness), L), Fraction(*up), Fraction(*down))
 
 
 def write_sample_file(space: FiniteMetricSpace) -> str:
+    """The sample file of ``space``: each distinct distance is formatted once."""
+    i, j = np.triu_indices(space.n, 1)
+    values, which = np.unique(space.units[i, j], return_inverse=True)
+    text = []
+    for v in values.tolist():
+        d = Fraction(v, space.unit)
+        text.append(f"{d.numerator}/{d.denominator}")
     lines = [f"points {space.n}"]
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            d = space.dist(i, j)
-            lines.append(f"{i} {j} {d.numerator}/{d.denominator}")
+    lines += [f"{a} {b} {text[t]}" for a, b, t in zip(i.tolist(), j.tolist(), which.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -170,11 +231,52 @@ def _point(n: int, field: str, other: int | None = None) -> None:
         raise ValueError(field)
 
 
+def _within_cap(field: str) -> None:
+    """Parser of the header's count for field_error: at most SAMPLE_CAP."""
+    if int(field) > SAMPLE_CAP:
+        raise ValueError(field)
+
+
+def _ratio(field: str) -> tuple[int, int]:
+    """(numerator, denominator > 0) of a distance field.
+
+    ASCII ``digits`` and ``digits/digits`` with a nonzero denominator are
+    read as two ints; every other field goes through ``Fraction``, so what
+    is accepted, and each error, is Fraction's.
+    """
+    num, slash, den = field.partition("/")
+    if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+        p = int(num)
+        q = int(den) if slash else 1
+        if q:
+            return p, q
+    d = Fraction(field)
+    return d.numerator, d.denominator
+
+
+def _units(nums: list[int], dens: list[int]):
+    """Integer distances over the least common denominator L: (units, L).
+
+    Fields in lowest terms first, so L is least; the entries are int64
+    when L times the largest numerator stays within 2**62.
+    """
+    wide = max(max(nums), max(dens)) > INT64_SAFE
+    num = np.array(nums, dtype=object if wide else np.int64)
+    den = np.array(dens, dtype=num.dtype)
+    common = np.gcd(num, den)
+    num //= common
+    den //= common
+    L = math.lcm(*np.unique(den).tolist())
+    dtype = _dtype(max(int(num.max()), 2) * L)
+    return num.astype(dtype) * (L // den.astype(dtype)), L
+
+
 def parse_sample_file(text: str) -> FiniteMetricSpace:
     """Parse the textual sample format; delta is the max nearest-neighbor gap.
 
     Each pair i < j must appear once with a positive distance; the triangle
-    inequality is not checked.
+    inequality is not checked.  A header above SAMPLE_CAP points, and a
+    wrong entry count, are refused before the matrix is allocated.
     """
     lines = tokenize(text)
     lineno, fields = next(lines, (1, None))
@@ -186,34 +288,41 @@ def parse_sample_file(text: str) -> FiniteMetricSpace:
         n = int(fields[1])
     except ValueError as exc:
         raise field_error(text, lineno, fields, (str, int), str(exc)) from exc
-    dist = {}
+    if n > SAMPLE_CAP:
+        raise field_error(text, lineno, fields, (str, _within_cap), f"{n} points is above the cap of {SAMPLE_CAP}")
+    entries = []  # (i * n + j for the pair i < j, numerator, denominator)
+    seen = set()
     for lineno, fields in lines:
         if len(fields) != 3:
             raise field_error(text, lineno, fields, (), "expected 'i j num/den'")
         try:
-            i, j, d = int(fields[0]), int(fields[1]), Fraction(fields[2])
+            i, j, (p, q) = int(fields[0]), int(fields[1]), _ratio(fields[2])
         except (ValueError, ZeroDivisionError) as exc:
             raise field_error(text, lineno, fields, (int, int, Fraction), str(exc)) from exc
-        if d <= 0:
+        if p <= 0:
             raise field_error(text, lineno, fields, (int, int, _positive), f"distance {fields[2]} is not positive")
         if not (0 <= i < n and 0 <= j < n) or i == j:
             message = f"bad point indices in entry ({i}, {j})"
             raise field_error(text, lineno, fields, (partial(_point, n), partial(_point, n, other=i)), message)
-        if (min(i, j), max(i, j)) in dist:
+        key = i * n + j if i < j else j * n + i
+        if key in seen:
             raise field_error(text, lineno, (), (), f"pair ({i}, {j}) is given twice")
-        dist[min(i, j), max(i, j)] = d
-    if len(dist) != n * (n - 1) // 2:
+        seen.add(key)
+        entries.append((key, p, q))
+    if len(seen) != n * (n - 1) // 2:
         raise InputError(
             f"expected {n * (n - 1) // 2} distance entries for {n} points, "
-            f"got {len(dist)}"
+            f"got {len(seen)}"
         )
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), d in dist.items():
-        mat[i][j] = mat[j][i] = d
-    space = FiniteMetricSpace(list(range(n)), mat, Fraction(0))
-    if n > 1:
-        delta = max(
-            min(mat[i][j] for j in range(n) if j != i) for i in range(n)
-        )
-        space.delta = delta
-    return space
+    if n < 2:
+        return FiniteMetricSpace(list(range(n)), np.zeros((n, n), dtype=np.int64), 1, 0)
+    keys, nums, dens = zip(*entries)
+    rows, cols = np.divmod(np.array(keys), n)
+    units, L = _units(nums, dens)
+    mat = np.zeros((n, n), dtype=units.dtype)
+    mat[rows, cols] = units
+    mat[cols, rows] = units
+    np.fill_diagonal(mat, units.max() + 1)
+    delta_units = mat.min(axis=1).max()
+    np.fill_diagonal(mat, 0)
+    return FiniteMetricSpace(list(range(n)), mat, L, int(delta_units))

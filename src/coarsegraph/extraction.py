@@ -110,7 +110,7 @@ def extract_line(
         "asserted_r": r,
     }
     if r is None:
-        r = modulus(m, f).r if nverts >= 2 else 0  # no pairs: every selector has modulus 0
+        r = modulus(m, f).r
         diag["computed_r"] = r
     elif verify_asserted:
         witness = _falsify_or_none(m, f, r)

@@ -42,7 +42,7 @@ class Witness:
 @dataclass(frozen=True)
 class Modulus:
     r: int
-    witness: Witness
+    witness: Witness | None  # None only on a one-vertex graph, which has no neighbor pair
 
 
 class TwoSelector:
@@ -222,10 +222,10 @@ def modulus(m: PathMetric, f: TwoSelector) -> Modulus:
     Minimality: every d_H <= 1 neighbor pair has choice distance <= r and
     the attaining witness rules out r - 1 (or r = 0 and any neighbor pair
     serves as witness).  The witness is the first attaining pair in scan
-    order.
+    order.  A one-vertex graph has no neighbor pair: r = 0, witness None.
     """
     if m.graph.vertex_count < 2:
-        raise InputError("the selector modulus needs a graph with at least two vertices")
+        return Modulus(0, None)
     r, witness = -1, None
     for block in _jump_blocks(m, f):
         jumps = block[-1]

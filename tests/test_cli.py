@@ -403,10 +403,26 @@ def test_selector_file_must_match_graph(capsys, tmp_path, command, options, tabl
     assert message in json.loads(out)["error"]
 
 
-def test_selector_modulus_rejects_one_vertex_graph(capsys):
-    code, out = _capture(capsys, ["selector", "modulus", "--generate", "path:1", "--selector", "min"])
-    assert code == 2
-    assert "at least two vertices" in json.loads(out)["error"]
+def test_one_vertex_modulus_agrees_across_commands(capsys):
+    # a one-vertex graph has no neighbor pair: r = 0 and no witness, everywhere
+    runs = {
+        "modulus": ["selector", "modulus", "--generate", "path:1", "--selector", "min"],
+        "min": ["selector", "min", "--generate", "path:1"],
+        "from-order": ["selector", "from-order", "--generate", "path:1", "--order", "natural"],
+        "verify": ["selector", "verify", "--generate", "path:1", "--selector", "min", "--r", "0"],
+        "compat": ["order", "compat", "--generate", "path:1", "--e", "0"],
+        "extract": ["extract", "--generate", "path:1", "--selector", "min"],
+    }
+    out = {}
+    for name, argv in runs.items():
+        code, text = _capture(capsys, argv)
+        assert code == 0, name
+        out[name] = json.loads(text)["outcome"]
+    assert out["modulus"] == {"r": 0, "witness": None}
+    assert out["min"]["r"] == out["from-order"]["r"] == 0
+    assert out["verify"] == {"r": 0, "verdict": "holds"}
+    assert out["compat"]["order_selector_modulus"] == 0
+    assert out["extract"]["diagnostics"]["computed_r"] == 0
 
 
 @pytest.mark.parametrize("extra", [[], ["--assert-r", "0"]], ids=["computed", "asserted"])

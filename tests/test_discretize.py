@@ -19,6 +19,7 @@ from coarsegraph.discretize import (
 )
 
 from conftest import degree
+from discretize_oracle import sample_text
 
 HALF = Fraction(1, 2)
 
@@ -46,7 +47,7 @@ def oracle_net_edges(sp, pts):
 
 def check_metric_axioms(sp):
     """Zero diagonal, symmetry, positivity off the diagonal and the triangle inequality."""
-    d, n = sp.dist_matrix, sp.n
+    d, n = sp.units.tolist(), sp.n
     for i in range(n):
         assert d[i][i] == 0
         for j in range(n):
@@ -139,7 +140,7 @@ def test_greedy_net_segment():
 
 
 def test_two_far_points_both_admitted():
-    sp = FiniteMetricSpace([0, 5], [[Fraction(0), Fraction(5)], [Fraction(5), Fraction(0)]], Fraction(5))
+    sp = parse_sample_file(sample_text([[0, 5], [5, 0]]))
     net = greedy_net(sp)
     assert net == (0, 1)
 
@@ -163,7 +164,7 @@ def test_net_graph_segment_is_path():
 
 
 def test_net_graph_single_point():
-    sp = FiniteMetricSpace([0], [[Fraction(0)]], Fraction(0))
+    sp = parse_sample_file("points 1\n")
     net = greedy_net(sp)
     g = net_graph(sp, net)
     assert g.vertex_count == 1 and g.edge_list() == []
@@ -177,7 +178,8 @@ def test_net_graph_disconnected_reported():
         [d, d, Fraction(0), Fraction(3)],
         [d, d, Fraction(3), Fraction(0)],
     ]
-    sp = FiniteMetricSpace([0, 1, 2, 3], mat, Fraction(3))
+    sp = parse_sample_file(sample_text(mat))
+    assert sp.delta == 3
     net = greedy_net(sp)
     with pytest.raises(DisconnectedNetGraph):
         net_graph(sp, net)
@@ -196,7 +198,7 @@ def test_certify_segment():
 def test_largeness_zero_when_net_is_everything():
     d = Fraction(5)
     mat = [[Fraction(0), d], [d, Fraction(0)]]
-    sp = FiniteMetricSpace([0, 1], mat, d)
+    sp = parse_sample_file(sample_text(mat))
     net = greedy_net(sp)
     assert net == (0, 1)
     largeness = max(min(sp.dist(i, u) for u in net) for i in range(sp.n))
@@ -309,12 +311,7 @@ def test_sample_file_index_errors_name_position(text, message):
 )
 def test_greedy_net_invariants_on_random_segments(positions):
     positions = sorted(positions)
-    mat = [[abs(x - y) for y in positions] for x in positions]
-    delta = max(
-        (min(abs(x - y) for y in positions if y != x) for x in positions),
-        default=Fraction(0),
-    ) if len(positions) > 1 else Fraction(0)
-    sp = FiniteMetricSpace(positions, mat, delta)
+    sp = parse_sample_file(sample_text([[abs(x - y) for y in positions] for x in positions]))
     net = greedy_net(sp)
     assert net_is_valid(sp, net)
 
