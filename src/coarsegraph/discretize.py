@@ -257,18 +257,17 @@ def _ratio(field: str) -> tuple[int, int]:
 def _units(nums: list[int], dens: list[int]):
     """Integer distances over the least common denominator L: (units, L).
 
-    Fields in lowest terms first, so L is least; the entries are int64
-    when L times the largest numerator stays within 2**62.
+    With M the lcm of the fields' denominators, each distance is num * (M /
+    den) units of 1/M; dividing those and M by their gcd gives the least L.
+    The entries are int64 when M times the largest numerator stays within
+    2**62, and Python ints otherwise.
     """
-    wide = max(max(nums), max(dens)) > INT64_SAFE
-    num = np.array(nums, dtype=object if wide else np.int64)
-    den = np.array(dens, dtype=num.dtype)
-    common = np.gcd(num, den)
-    num //= common
-    den //= common
-    L = math.lcm(*np.unique(den).tolist())
-    dtype = _dtype(max(int(num.max()), 2) * L)
-    return num.astype(dtype) * (L // den.astype(dtype)), L
+    M = math.lcm(*set(dens))
+    units = np.array(nums, dtype=_dtype(max(max(nums), 2) * M))
+    units *= M // np.array(dens, dtype=units.dtype)
+    common = math.gcd(M, int(np.gcd.reduce(units)))
+    units //= common
+    return units, M // common
 
 
 def parse_sample_file(text: str) -> FiniteMetricSpace:
@@ -290,7 +289,7 @@ def parse_sample_file(text: str) -> FiniteMetricSpace:
         raise field_error(text, lineno, fields, (str, int), str(exc)) from exc
     if n > SAMPLE_CAP:
         raise field_error(text, lineno, fields, (str, _within_cap), f"{n} points is above the cap of {SAMPLE_CAP}")
-    entries = []  # (i * n + j for the pair i < j, numerator, denominator)
+    keys, nums, dens = [], [], []  # i * n + j for the pair i < j, and its distance p / q
     seen = set()
     for lineno, fields in lines:
         if len(fields) != 3:
@@ -308,7 +307,9 @@ def parse_sample_file(text: str) -> FiniteMetricSpace:
         if key in seen:
             raise field_error(text, lineno, (), (), f"pair ({i}, {j}) is given twice")
         seen.add(key)
-        entries.append((key, p, q))
+        keys.append(key)
+        nums.append(p)
+        dens.append(q)
     if len(seen) != n * (n - 1) // 2:
         raise InputError(
             f"expected {n * (n - 1) // 2} distance entries for {n} points, "
@@ -316,9 +317,8 @@ def parse_sample_file(text: str) -> FiniteMetricSpace:
         )
     if n < 2:
         return FiniteMetricSpace(list(range(n)), np.zeros((n, n), dtype=np.int64), 1, 0)
-    keys, nums, dens = zip(*entries)
-    rows, cols = np.divmod(np.array(keys), n)
     units, L = _units(nums, dens)
+    rows, cols = np.divmod(np.array(keys), n)
     mat = np.zeros((n, n), dtype=units.dtype)
     mat[rows, cols] = units
     mat[cols, rows] = units
