@@ -193,12 +193,12 @@ def certify_net(space: FiniteMetricSpace, net: tuple[int, ...], graph: Graph) ->
     ambient = space.units[np.ix_(cols, cols)][a, b]
     far = np.full(k, -1, dtype=ambient.dtype)  # -1: no pair at this g
     np.maximum.at(far, graph_d, ambient)
-    near = far.copy()
-    np.minimum.at(near, graph_d, ambient)
+    close = far.copy()
+    np.minimum.at(close, graph_d, ambient)
     up, down = (0, 1), (0, 1)
     for g in np.flatnonzero(far >= 0).tolist():
         # ratios as (numerator, denominator) pairs of Python ints
-        cand_up, cand_down = (int(far[g]), 4 * g * L), (4 * g * L, int(near[g]))
+        cand_up, cand_down = (int(far[g]), 4 * g * L), (4 * g * L, int(close[g]))
         if cand_up[0] * up[1] > up[0] * cand_up[1]:
             up = cand_up
         if cand_down[0] * down[1] > down[0] * cand_down[1]:
@@ -207,16 +207,20 @@ def certify_net(space: FiniteMetricSpace, net: tuple[int, ...], graph: Graph) ->
 
 
 def write_sample_file(space: FiniteMetricSpace) -> str:
-    """The sample file of ``space``: each distinct distance is formatted once."""
-    i, j = np.triu_indices(space.n, 1)
-    values, which = np.unique(space.units[i, j], return_inverse=True)
-    text = []
-    for v in values.tolist():
-        d = Fraction(v, space.unit)
-        text.append(f"{d.numerator}/{d.denominator}")
-    lines = [f"points {space.n}"]
-    lines += [f"{a} {b} {text[t]}" for a, b, t in zip(i.tolist(), j.tolist(), which.tolist())]
-    return "\n".join(lines) + "\n"
+    """The sample file of ``space``, one row of pairs at a time.
+
+    Each distinct distance is formatted once; a row is joined into one
+    string, so no list of every entry is built.
+    """
+    text: dict = {}
+    chunks = [f"points {space.n}\n"]
+    for i in range(space.n - 1):
+        row = space.units[i, i + 1 :].tolist()
+        for v in set(row).difference(text):
+            d = Fraction(v, space.unit)
+            text[v] = f"{d.numerator}/{d.denominator}"
+        chunks.append("".join([f"{i} {j} {text[v]}\n" for j, v in enumerate(row, i + 1)]))
+    return "".join(chunks)
 
 
 def _positive(field: str) -> None:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from coarsegraph.discretize import (
     DisconnectedNetGraph,
-    FiniteMetricSpace,
     StepTooCoarse,
     certify_net,
     greedy_net,
