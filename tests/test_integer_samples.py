@@ -61,8 +61,9 @@ def assert_integer_matrix(sp):
     assert type(sp.unit) is int and sp.unit > 0
 
 
-def parse_both(text):
-    """(package outcome, oracle outcome), or the two error texts."""
+def check_agrees(text):
+    """Parse ``text`` with both implementations: the same error text, or the
+    same outcome.  Returns (package space, oracle space), or None on an error."""
     try:
         mine = parse_sample_file(text)
     except InputError as exc:
@@ -76,14 +77,8 @@ def parse_both(text):
         return None
     assert mine_error is None, mine_error
     assert_integer_matrix(mine)
+    assert outcome(discretize, mine) == outcome(oracle, ref)
     return mine, ref
-
-
-def check_agrees(text):
-    spaces = parse_both(text)
-    if spaces is not None:
-        assert outcome(discretize, spaces[0]) == outcome(oracle, spaces[1])
-    return spaces
 
 
 @pytest.mark.parametrize("step", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(1, 4)])
