@@ -30,9 +30,11 @@ from .graph_core import (
     build_graph,
     field_error,
     geodesic_between,
+    refused,
     tokenize,
 )
 from .hyperspace import hausdorff_distance, pair_neighbors
+from .qi_cert import fraction_text
 from .selector import Holds, TwoSelector, Witness
 
 # selector min and from-order list their table only up to this many pairs
@@ -44,11 +46,6 @@ def _frac(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {text!r}: {exc}") from exc
-
-
-def _frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _ints(fields) -> tuple[int, ...]:
@@ -97,25 +94,26 @@ def parse_order_file(text: str, n: int) -> order_compat.LinearOrder:
 
 
 def parse_selector_file(text: str, n: int) -> dict:
-    """A choice for exactly the pairs of 0..n-1, one 'a b -> c' line each."""
+    """A choice for exactly the pairs of 0..n-1, one 'a b -> c' line each, checked as it is read."""
     table = {}
     for lineno, fields in tokenize(text):
         values = _ints(fields[:2] + fields[3:])
         if len(values) != 3 or fields[2] != "->":
             raise field_error(text, lineno, fields, (int, int, str, int), "expected 'a b -> c'")
         a, b, c = values
+        if not (0 <= a < n and 0 <= b < n):
+            v, at_fault = (b, (int, refused)) if 0 <= a < n else (a, (refused,))
+            raise field_error(text, lineno, fields, at_fault, f"vertex {v} out of range 0..{n - 1}")
         if a == b:
-            raise InputError(f"line {lineno}: {{{a}, {b}}} is not a pair of distinct vertices")
+            message = f"{{{a}, {b}}} is not a pair of distinct vertices"
+            raise field_error(text, lineno, fields, (int, refused), message)
         if c not in (a, b):
-            raise InputError(f"line {lineno}: choice {c} not in pair {{{a}, {b}}}")
+            message = f"choice {c} not in pair {{{a}, {b}}}"
+            raise field_error(text, lineno, fields, (int, int, str, refused), message)
         key = (a, b) if a < b else (b, a)
         if key in table:
             raise field_error(text, lineno, (), (), f"pair {{{a}, {b}}} is given twice")
         table[key] = c
-    for a, b in table:
-        for v in (a, b):
-            if not 0 <= v < n:
-                raise InputError(f"selector file names vertex {v}, out of range 0..{n - 1}")
     pairs = n * (n - 1) // 2
     if len(table) < pairs:
         a, b = next((a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in table)
@@ -207,7 +205,7 @@ def _pair(text: str, graph: Graph, flag: str) -> list[int]:
 def _cert_payload(cert: qi_cert.QuasiIsometryCert) -> dict:
     return {
         "coord": [[v, cert.coord[v]] for v in sorted(cert.coord)],
-        "lambda": _frac_str(cert.lam),
+        "lambda": fraction_text(cert.lam),
         "C": cert.C,
         "D": cert.D,
     }
@@ -430,8 +428,8 @@ def _load_space(args) -> discretize.FiniteMetricSpace:
 
 def _point_label(pt) -> str:
     if isinstance(pt, tuple):
-        return "(" + ",".join(_frac_str(x) for x in pt) + ")"
-    return _frac_str(pt)
+        return "(" + ",".join(fraction_text(x) for x in pt) + ")"
+    return fraction_text(pt)
 
 
 def cmd_net(args):
@@ -453,9 +451,9 @@ def cmd_net(args):
     cert = discretize.certify_net(space, net, graph)
     return {
         "net_indices": list(net),
-        "largeness": _frac_str(cert.largeness),
-        "max_ambient_over_4graph": _frac_str(cert.max_ambient_over_4graph),
-        "max_4graph_over_ambient": _frac_str(cert.max_4graph_over_ambient),
+        "largeness": fraction_text(cert.largeness),
+        "max_ambient_over_4graph": fraction_text(cert.max_ambient_over_4graph),
+        "max_4graph_over_ambient": fraction_text(cert.max_4graph_over_ambient),
     }, 0
 
 
@@ -470,7 +468,7 @@ def cmd_sample(args):
             raise InputError(f"cannot write {args.out}: {exc}") from exc
     return {
         "points": space.n,
-        "delta": _frac_str(space.delta),
+        "delta": fraction_text(space.delta),
         "written": args.out,
     }, 0
 

@@ -23,16 +23,16 @@ above it is refused before any matrix is allocated.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
 from .graph_core import (
-    DisconnectedGraph, Graph, InputError, PathMetric, build_graph, field_error, tokenize
+    DisconnectedGraph, Graph, InputError, PathMetric, build_graph, field_error, refused, tokenize
 )
-from .qi_cert import INT64_SAFE
+from .qi_cert import fraction_text, int_dtype
 
 SAMPLE_CAP = 4096  # most points a sample may hold: an n x n matrix of 128 MB in int64
 
@@ -74,11 +74,6 @@ class FiniteMetricSpace:
     def dist(self, i: int, j: int) -> Fraction:
         """d(i, j) as an exact rational, for printing and tests."""
         return Fraction(int(self.units[i, j]), self.unit)
-
-
-def _dtype(bound: int):
-    """int64 when every entry and 2L are at most ``bound`` <= 2**62, else Python ints."""
-    return np.int64 if bound <= INT64_SAFE else object
 
 
 def _check_step(step: Fraction) -> Fraction:
@@ -134,7 +129,7 @@ def sample_space(shape, step) -> FiniteMetricSpace:
     else:
         raise InputError(f"unknown shape {kind!r}")
     p, q = step.numerator, step.denominator
-    units = hops.astype(_dtype(max(int(hops.max(initial=0)) * p, 2 * q)), copy=False)
+    units = hops.astype(int_dtype(max(int(hops.max(initial=0)) * p, 2 * q)), copy=False)
     units *= p
     return FiniteMetricSpace(pts, units, q, p)
 
@@ -217,28 +212,9 @@ def write_sample_file(space: FiniteMetricSpace) -> str:
     for i in range(space.n - 1):
         row = space.units[i, i + 1 :].tolist()
         for v in set(row).difference(text):
-            d = Fraction(v, space.unit)
-            text[v] = f"{d.numerator}/{d.denominator}"
+            text[v] = fraction_text(Fraction(v, space.unit))
         chunks.append("".join([f"{i} {j} {text[v]}\n" for j, v in enumerate(row, i + 1)]))
     return "".join(chunks)
-
-
-def _positive(field: str) -> None:
-    """Parser of a distance field for field_error: a rational above 0."""
-    if Fraction(field) <= 0:
-        raise ValueError(field)
-
-
-def _point(n: int, field: str, other: int | None = None) -> None:
-    """Parser of an index field for field_error: a point 0..n-1 other than ``other``."""
-    if not 0 <= int(field) < n or int(field) == other:
-        raise ValueError(field)
-
-
-def _within_cap(field: str) -> None:
-    """Parser of the header's count for field_error: at most SAMPLE_CAP."""
-    if int(field) > SAMPLE_CAP:
-        raise ValueError(field)
 
 
 def _ratio(field: str) -> tuple[int, int]:
@@ -267,7 +243,7 @@ def _units(nums: list[int], dens: list[int]):
     2**62, and Python ints otherwise.
     """
     M = math.lcm(*set(dens))
-    units = np.array(nums, dtype=_dtype(max(max(nums), 2) * M))
+    units = np.array(nums, dtype=int_dtype(max(max(nums), 2) * M))
     units *= M // np.array(dens, dtype=units.dtype)
     common = math.gcd(M, int(np.gcd.reduce(units)))
     units //= common
@@ -292,9 +268,9 @@ def parse_sample_file(text: str) -> FiniteMetricSpace:
     except ValueError as exc:
         raise field_error(text, lineno, fields, (str, int), str(exc)) from exc
     if n > SAMPLE_CAP:
-        raise field_error(text, lineno, fields, (str, _within_cap), f"{n} points is above the cap of {SAMPLE_CAP}")
-    keys, nums, dens = [], [], []  # i * n + j for the pair i < j, and its distance p / q
-    seen = set()
+        raise field_error(text, lineno, fields, (str, refused), f"{n} points is above the cap of {SAMPLE_CAP}")
+    keys, nums, dens = array("q"), [], []  # i * n + j for the pair i < j, and its distance p / q
+    seen = bytearray()  # seen[key] is 1 once read; grown with the keys, so a bare header allocates nothing
     for lineno, fields in lines:
         if len(fields) != 3:
             raise field_error(text, lineno, fields, (), "expected 'i j num/den'")
@@ -303,26 +279,28 @@ def parse_sample_file(text: str) -> FiniteMetricSpace:
         except (ValueError, ZeroDivisionError) as exc:
             raise field_error(text, lineno, fields, (int, int, Fraction), str(exc)) from exc
         if p <= 0:
-            raise field_error(text, lineno, fields, (int, int, _positive), f"distance {fields[2]} is not positive")
+            raise field_error(text, lineno, fields, (int, int, refused), f"distance {fields[2]} is not positive")
         if not (0 <= i < n and 0 <= j < n) or i == j:
-            message = f"bad point indices in entry ({i}, {j})"
-            raise field_error(text, lineno, fields, (partial(_point, n), partial(_point, n, other=i)), message)
+            at_fault = (int, refused) if 0 <= i < n else (refused,)
+            raise field_error(text, lineno, fields, at_fault, f"bad point indices in entry ({i}, {j})")
         key = i * n + j if i < j else j * n + i
-        if key in seen:
+        if key >= len(seen):
+            seen.extend(bytes(min(max(key + 1, 2 * len(seen)), n * n) - len(seen)))
+        elif seen[key]:
             raise field_error(text, lineno, (), (), f"pair ({i}, {j}) is given twice")
-        seen.add(key)
+        seen[key] = 1
         keys.append(key)
         nums.append(p)
         dens.append(q)
-    if len(seen) != n * (n - 1) // 2:
+    if len(keys) != n * (n - 1) // 2:
         raise InputError(
             f"expected {n * (n - 1) // 2} distance entries for {n} points, "
-            f"got {len(seen)}"
+            f"got {len(keys)}"
         )
     if n < 2:
         return FiniteMetricSpace(list(range(n)), np.zeros((n, n), dtype=np.int64), 1, 0)
     units, L = _units(nums, dens)
-    rows, cols = np.divmod(np.array(keys), n)
+    rows, cols = np.divmod(np.frombuffer(keys, dtype=np.int64), n)
     mat = np.zeros((n, n), dtype=units.dtype)
     mat[rows, cols] = units
     mat[cols, rows] = units

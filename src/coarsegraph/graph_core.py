@@ -69,6 +69,11 @@ def field_error(text: str, lineno: int, fields, parsers, message: str) -> InputE
     return InputError(f"line {lineno}, column {column}: {message}")
 
 
+def refused(field: str):
+    """The parser, for ``field_error``, of the field a check refused: it rejects every field."""
+    raise ValueError(field)
+
+
 class Graph:
     """Simple undirected connected graph with sorted adjacency lists."""
 

@@ -24,7 +24,8 @@ delta never exceeds the coordinate span.  For ``verify_qi`` every product is
 at most num * (max(n, span) + C), because den <= num; for ``tighten`` it is
 at most max(span, 2 n)**2.  Above that bound (a user certificate with a huge
 lambda, C or coordinate) the same expressions run on numpy object arrays of
-Python ints, so nothing wraps.
+Python ints, so nothing wraps: ``int_dtype``, the rule of every integer
+matrix in the package.
 
 Memory.  Pairs are visited in blocks of rows of the sorted domain S: a block
 is some rows of S against the later columns of S, about BLOCK_ELEMENTS
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +46,28 @@ from .graph_core import InputError, PathMetric
 
 BLOCK_ELEMENTS = 1 << 16  # distances gathered per block of rows
 INT64_SAFE = 1 << 62  # largest product the int64 kernel may form
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX)  # integer sums and products of any size, unrounded
+
+
+def int_dtype(bound: int):
+    """int64 when every value to be held or formed is at most ``bound`` <= 2**62, else Python ints."""
+    return np.int64 if bound <= INT64_SAFE else object
+
+
+def _decimal(k: int) -> Decimal:
+    """k as an exact Decimal; above 2**8192, from its two halves by Decimal's fast product."""
+    half = k.bit_length() >> 1
+    if half <= 4096:
+        return Decimal(k)
+    hi = k >> half
+    return _EXACT.fma(_decimal(hi), _EXACT.power(2, half), _decimal(k - (hi << half)))
+
+
+def fraction_text(x) -> str:
+    """'num/den' of a rational with every digit.  str(int) stops at 4,300 digits and, as
+    Decimal(int) does, takes time quadratic in them: 20 s for a million, against 1 s here."""
+    x = Fraction(x)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -92,7 +116,7 @@ def _pair_blocks(m: PathMetric, S: list[int], values: list[int], bound: int):
     stay within ``bound`` <= 2**62, and Python ints otherwise.
     """
     k = len(S)
-    dtype = np.int64 if bound <= INT64_SAFE else object
+    dtype = int_dtype(bound)
     low = min(values)
     c = np.array([x - low for x in values], dtype=dtype)
     step = max(1, BLOCK_ELEMENTS // max(k, m.graph.vertex_count))

@@ -7,7 +7,9 @@ distances as integers in units of 1/L: every entry is built, compared and
 printed as a Fraction, and the net graph is read one sample at a time.
 Sample files, deltas, nets, edges, components, certificates and the text
 of every input error must agree with the package.  The oracle has no
-sample cap.
+sample cap.  It prints rationals with the package's ``fraction_text``:
+what it checks is the integer layer, not the printer, and ``str(int)``
+refuses numerators of more than 4,300 digits.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from coarsegraph.discretize import DisconnectedNetGraph, NetCertificate, StepToo
 from coarsegraph.graph_core import (
     DisconnectedGraph, InputError, PathMetric, build_graph, field_error, tokenize
 )
+from coarsegraph.qi_cert import fraction_text
 
 
 @dataclass
@@ -119,8 +122,7 @@ def write_sample_file(space) -> str:
     lines = [f"points {space.n}"]
     for i in range(space.n):
         for j in range(i + 1, space.n):
-            d = space.dist(i, j)
-            lines.append(f"{i} {j} {d.numerator}/{d.denominator}")
+            lines.append(f"{i} {j} {fraction_text(space.dist(i, j))}")
     return "\n".join(lines) + "\n"
 
 

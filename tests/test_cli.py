@@ -390,10 +390,12 @@ def _path4_table(tmp_path, drop=(), extra=""):
     "table, message",
     [
         (dict(drop=[(1, 3)]), "gives 5 of the 6 pairs; pair {1, 3} has no choice"),
-        (dict(extra="2 4 -> 4\n"), "names vertex 4, out of range 0..3"),
-        (dict(extra="2 2 -> 2\n"), "line 7: {2, 2} is not a pair of distinct vertices"),
+        (dict(extra="2 4 -> 4\n"), "line 7, column 3: vertex 4 out of range 0..3"),
+        (dict(extra="2 2 -> 2\n"), "line 7, column 3: {2, 2} is not a pair of distinct vertices"),
+        (dict(drop=[(2, 3)], extra="2 3 -> 1\n"), "line 6, column 8: choice 1 not in pair {2, 3}"),
+        (dict(extra="-1 0 -> 0\n2 2 -> 2\n"), "line 7, column 1: vertex -1 out of range 0..3"),
     ],
-    ids=["missing-pair", "vertex-out-of-range", "equal-ends"],
+    ids=["missing-pair", "vertex-out-of-range", "equal-ends", "choice-outside-pair", "range-at-its-line"],
 )
 def test_selector_file_must_match_graph(capsys, tmp_path, command, options, table, message):
     sel = _path4_table(tmp_path, **table)
@@ -571,3 +573,48 @@ def test_digest_covers_the_coord_file(capsys, tmp_path):
         assert code == 0
         digests.append(json.loads(out)["inputs"]["sha256"])
     assert digests[0] != digests[1]
+
+
+def _huge_inputs(tmp_path):
+    sample = tmp_path / "sample.txt"
+    sample.write_text("points 3\n0 1 1\n1 2 1\n0 2 1E5000\n")
+    coord = tmp_path / "coord.txt"
+    coord.write_text("0 0\n1 1\n2 2\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"coord": [[0, 0], [1, 1], [2, 2]], "lambda": "1E5000", "C": 0, "D": 0}))
+    tiny = ["--shape", "segment:1E-4999", "--step", "1E-5000"]
+    return {
+        "certify-sample": ["net", "certify", "--sample", str(sample)],
+        "certify-shape": ["net", "certify", *tiny],
+        "sample": ["sample", *tiny, "--out", str(tmp_path / "out.txt")],
+        "qi-coord": ["qi", "verify", "--generate", "path:3", "--coord", str(coord), "--lam", "1E5000"],
+        "qi-cert": ["qi", "verify", "--generate", "path:3", "--cert", str(cert)],
+    }
+
+
+TEN_4999 = "1" + "0" * 4999  # 10**4999, more digits than str(int) prints
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("certify-sample", {"largeness": "1/1", "max_ambient_over_4graph": "25" + "0" * 4998 + "/1",
+                            "max_4graph_over_ambient": "1/25" + "0" * 4998}),
+        ("certify-shape", {"largeness": "1/" + TEN_4999, "max_ambient_over_4graph": "0/1"}),
+        ("sample", {"delta": "1/" + TEN_4999 + "0", "points": 11}),
+        ("qi-coord", {"verdict": "valid"}),
+        ("qi-cert", {"verdict": "valid"}),
+    ],
+    ids=["certify-sample", "certify-shape", "sample", "qi-coord", "qi-cert"],
+)
+def test_rationals_of_any_size_are_printed_exactly(capsys, tmp_path, name, expected):
+    code = run(_huge_inputs(tmp_path)[name])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    outcome = json.loads(captured.out)["outcome"]
+    assert expected.items() <= outcome.items()
+    if name.startswith("qi"):
+        assert outcome["certificate"]["lambda"] == "1" + "0" * 5000 + "/1"
+    if name == "sample":
+        lines = (tmp_path / "out.txt").read_text().splitlines()
+        assert (lines[0], lines[1], lines[10]) == ("points 11", f"0 1 1/{TEN_4999}0", f"0 10 1/{TEN_4999}")

@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coarsegraph import (
     Bounded,
@@ -28,6 +29,7 @@ from coarsegraph import (
 )
 from coarsegraph.discretize import greedy_net, net_graph, sample_space
 from coarsegraph.generators import grid_graph, path_graph
+from coarsegraph.graph_core import build_graph
 
 
 def pulled_back_selector(m, cert):
@@ -62,6 +64,17 @@ def pulled_back_selector(m, cert):
     return min_selector(psi), max(1, math.floor(2 * cert.D + cert.C + lam * k))
 
 
+def check_certified_line(m, res):
+    """``res`` is a Ray or Line whose certificate verifies and bounds the
+    modulus of the selector pulled back along it: (that selector, its r, the bound)."""
+    assert isinstance(res, (Ray, Line))
+    assert isinstance(verify_qi(m, res.cert), Valid)
+    f, implied = pulled_back_selector(m, res.cert)
+    r = modulus(m, f).r
+    assert r <= implied
+    return f, r, implied
+
+
 def _segment_net_graph():
     sp = sample_space(("segment", 150), Fraction(1, 2))
     return net_graph(sp, greedy_net(sp))
@@ -80,11 +93,7 @@ def _segment_net_graph():
 def test_selector_line_selector_round_trip(graph, pulled_back_r, bound):
     m = PathMetric(graph)
     res = extract_line(m, min_selector(list(range(graph.vertex_count))))
-    assert isinstance(res, (Ray, Line))
-    assert isinstance(verify_qi(m, res.cert), Valid)
-    f, implied = pulled_back_selector(m, res.cert)
-    r = modulus(m, f).r
-    assert r <= implied
+    f, r, implied = check_certified_line(m, res)
     assert (r, implied) == (pulled_back_r, bound)
     # extraction needs a seed geodesic of length 16(2r + 1) + 2; grid:120x3
     # (diameter 121) pulls back to r = 4, which asks for 146
@@ -94,3 +103,46 @@ def test_selector_line_selector_round_trip(graph, pulled_back_r, bound):
         assert isinstance(verify_qi(m, again.cert), Valid)
     else:
         assert isinstance(again, Bounded)
+
+
+def caterpillar_graph(leaves):
+    """A spine path whose k-th vertex carries leaves[k] leaves.
+
+    Ids follow the spine: each leaf is numbered right after its spine
+    vertex, so the min selector follows the spine.  With the spine numbered
+    first, its modulus grows with the spine (59 on a spine of 60) and
+    extraction is Bounded.
+    """
+    edges, nxt = [], 0
+    for k, count in enumerate(leaves):
+        spine, nxt = nxt, nxt + 1 + count
+        edges += [(spine, leaf) for leaf in range(spine + 1, nxt)]
+        if k:
+            edges.append((previous, spine))
+        previous = spine
+    return build_graph(edges, vertex_count=nxt)
+
+
+@st.composite
+def long_ladders_and_caterpillars(draw):
+    """grid:Lx2, grid:Lx3 or a caterpillar with a spine of L, for L on either
+    side of the diameter extraction needs: 82 and 114 for the grids' r = 2
+    and 3, and 50 for the caterpillars' r = 1."""
+    length = draw(st.integers(min_value=40, max_value=160))
+    height = draw(st.sampled_from([2, 3, None]))  # None: a caterpillar
+    if height:
+        return grid_graph(length, height)
+    leaves = st.integers(min_value=0, max_value=2)
+    return caterpillar_graph(draw(st.lists(leaves, min_size=length, max_size=length)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(long_ladders_and_caterpillars())
+def test_round_trip_on_long_ladders_and_caterpillars(graph):
+    m = PathMetric(graph)
+    f = min_selector(list(range(graph.vertex_count)))
+    res = extract_line(m, f)
+    if m.diameter() >= 16 * (2 * modulus(m, f).r + 1) + 2:
+        check_certified_line(m, res)
+    else:
+        assert isinstance(res, Bounded)
