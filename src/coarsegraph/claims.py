@@ -53,11 +53,18 @@ def _chain_vertices(m: PathMetric, anchors) -> list[int]:
 
 
 def _chain_unmet(m: PathMetric, zs, p: int) -> HypothesisUnmet | None:
-    """The first chain hypothesis that fails: a nonempty chain, p > 0, steps <= p."""
+    """The first chain hypothesis that fails: a nonempty chain, p > 0, steps <= p.
+
+    The largest step comes from ``m.max_step``, which remembers the last
+    chain, so a chain checked against many probes is read once; only a
+    chain that fails is scanned again, for its first long step.
+    """
     if len(zs) < 1:
         return HypothesisUnmet("empty chain")
     if p <= 0:
         return HypothesisUnmet("p must be positive")
+    if m.max_step(zs) <= p:
+        return None
     for i, (z1, z2) in enumerate(zip(zs, zs[1:])):
         if m.distance(z1, z2) > p:
             return HypothesisUnmet(f"chain step {i} exceeds p")

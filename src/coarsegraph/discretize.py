@@ -32,7 +32,7 @@ import numpy as np
 from .graph_core import (
     DisconnectedGraph, Graph, InputError, PathMetric, build_graph, field_error, refused, tokenize
 )
-from .qi_cert import fraction_text, int_dtype
+from .qi_cert import fraction_text, int_dtype, number_text
 
 SAMPLE_CAP = 4096  # most points a sample may hold: an n x n matrix of 128 MB in int64
 
@@ -79,7 +79,7 @@ class FiniteMetricSpace:
 def _check_step(step: Fraction) -> Fraction:
     step = Fraction(step)
     if step > Fraction(1, 2):
-        raise StepTooCoarse(f"step {step} > 1/2")
+        raise StepTooCoarse(f"step {number_text(step)} > 1/2")
     if step <= 0:
         raise InputError("step must be positive")
     return step
@@ -88,13 +88,15 @@ def _check_step(step: Fraction) -> Fraction:
 def _count(total, step: Fraction) -> int:
     ratio = Fraction(total) / step
     if ratio.denominator != 1:
-        raise InputError(f"step {step} does not divide {total}")
+        raise InputError(f"step {number_text(step)} does not divide {number_text(total)}")
     return int(ratio)
 
 
 def _check_cap(count: int) -> None:
     if count > SAMPLE_CAP:
-        raise InputError(f"the sample would hold {count} points, above the cap of {SAMPLE_CAP}")
+        raise InputError(
+            f"the sample would hold {number_text(count)} points, above the cap of {SAMPLE_CAP}"
+        )
 
 
 def sample_space(shape, step) -> FiniteMetricSpace:

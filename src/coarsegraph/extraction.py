@@ -64,10 +64,6 @@ def _measure_slack(row_c, left, right) -> int:
     return max(abs(row_c[w] - i) for side in (left, right) for i, w in enumerate(side, 1))
 
 
-def _max_step(m: PathMetric, seq) -> int:
-    return max(m.distance(u, w) for u, w in zip(seq, seq[1:])) if len(seq) > 1 else 0
-
-
 def _certificate(m: PathMetric, coord: dict) -> QuasiIsometryCert:
     """Tighten the coordinate's certificate, then check it once."""
     cert = tighten(m, coord)
@@ -211,7 +207,7 @@ def extract_line(
         diag["coordinate_slack"] = max(diag["coordinate_slack"], _measure_slack(row_c, left, right))
 
     diag["line_length"] = len(seq)
-    diag["max_sequence_step"] = _max_step(m, seq)
+    diag["max_sequence_step"] = m.max_step(seq)
     coord = {c: 0}
     for i, w in enumerate(right):
         coord[w] = i + 1

@@ -166,7 +166,9 @@ class PathMetric:
     at most ``dense_cap`` vertices; larger graphs stay row-based.  Once the
     matrix exists, a row is read from it, so no distance is computed twice,
     and a single distance outside the row memo is read from the matrix
-    without memoizing a row beside it.
+    without memoizing a row beside it.  ``max_step`` remembers the last
+    sequence it was asked about, so callers that check one chain against
+    many probes read its steps once.
     """
 
     def __init__(self, graph: Graph, dense_cap: int = 4096):
@@ -175,6 +177,7 @@ class PathMetric:
         self._rows: dict[int, list[int]] = {}
         self._dense = None
         self._diameter = None
+        self._last_steps: tuple[tuple[int, ...], int] | None = None
 
     def row(self, u: int) -> list[int]:
         cached = self._rows.get(u)
@@ -197,6 +200,20 @@ class PathMetric:
         if self._dense is not None:
             return int(self._dense[u, v])
         return self.row(u)[v]
+
+    def max_step(self, seq) -> int:
+        """Largest d(z_i, z_{i+1}) along ``seq``, or 0 for fewer than two vertices.
+
+        One entry is memoized: the last sequence asked about and its answer,
+        replaced by the next different sequence.
+        """
+        key = tuple(seq)
+        last = self._last_steps
+        if last is not None and last[0] == key:
+            return last[1]
+        step = max(map(self.distance, key, key[1:]), default=0)
+        self._last_steps = (key, step)
+        return step
 
     def ball(self, v: int, radius: int) -> set[int]:
         row = self.row(v)

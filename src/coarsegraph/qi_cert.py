@@ -70,6 +70,12 @@ def fraction_text(x) -> str:
     return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
+def number_text(x) -> str:
+    """str(Fraction(x)) with every digit: an integer prints without '/1'."""
+    x = Fraction(x)
+    return str(_decimal(x.numerator)) if x.denominator == 1 else fraction_text(x)
+
+
 @dataclass(frozen=True)
 class QuasiIsometryCert:
     coord: dict

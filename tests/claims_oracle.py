@@ -6,21 +6,39 @@ the geodesic while the distance bound holds, and let ``claim3_side`` skip
 a second precheck: the hypotheses are checked loop by loop through
 ``m.distance``, the geodesic is built before the bound is tested, and a
 mid-chain index in ``claim3_side`` goes through the full ``oracle_claim2``.
-Outcomes, reason texts included, must agree with the package.
+The chain precheck and the nearest-index scan are this module's own
+per-step loops, not the package's, so a fault in the package's step memo
+shows as a disagreement.  Outcomes, reason texts included, must agree with
+the package.
 """
 from __future__ import annotations
 
-from coarsegraph.claims import (
-    HypothesisUnmet,
-    LeftEnd,
-    RightEnd,
-    _chain_unmet,
-    _chain_vertices,
-    _nearest_index,
-)
+from coarsegraph.claims import HypothesisUnmet, LeftEnd, RightEnd, _chain_vertices
 from coarsegraph.graph_core import InvariantError, geodesic_between
 from coarsegraph.hyperspace import hausdorff_distance, vpair
 from coarsegraph.selector import Holds, Witness
+
+
+def oracle_chain_unmet(m, zs, p):
+    """The first chain hypothesis that fails, each step read through ``m.distance``."""
+    if len(zs) < 1:
+        return HypothesisUnmet("empty chain")
+    if p <= 0:
+        return HypothesisUnmet("p must be positive")
+    for i in range(len(zs) - 1):
+        if m.distance(zs[i], zs[i + 1]) > p:
+            return HypothesisUnmet(f"chain step {i} exceeds p")
+    return None
+
+
+def oracle_nearest_index(m, v, zs):
+    """(min distance from v to the sequence, the lowest index attaining it)."""
+    best, k = None, -1
+    for i, z in enumerate(zs):
+        d = m.distance(v, z)
+        if best is None or d < best:
+            best, k = d, i
+    return best, k
 
 
 def oracle_first_break(m, f, r, pairs):
@@ -42,10 +60,10 @@ def oracle_first_break(m, f, r, pairs):
 
 
 def oracle_claim2(m, f, r, zs, v, p):
-    unmet = _chain_unmet(m, zs, p)
+    unmet = oracle_chain_unmet(m, zs, p)
     if unmet is not None:
         return unmet
-    _, k = _nearest_index(m, v, zs)
+    _, k = oracle_nearest_index(m, v, zs)
     geo = geodesic_between(m, v, zs[k])
     t = len(geo) - 1
     if t <= p + r:
@@ -81,11 +99,11 @@ def oracle_claim3(m, f, r, zs, v, p, q=None):
     zs = tuple(zs)
     if q is None:
         q = 2 * (r + p) + 1
-    unmet = _chain_unmet(m, zs, p)
+    unmet = oracle_chain_unmet(m, zs, p)
     if unmet is not None:
         return unmet
     last = len(zs) - 1
-    dmin, j = _nearest_index(m, v, zs)
+    dmin, j = oracle_nearest_index(m, v, zs)
     if dmin <= p + r:
         return HypothesisUnmet("d(v, P) <= p + r")
     for i in range(q + 1, last + 1):

@@ -248,3 +248,39 @@ def test_claim2_geodesic_hypotheses_match_oracle():
         out = claim2_check(m, f, 0, ClaimConfig(v=v, z=zs, p=p))
         assert out == oracle_claim2(m, f, 0, zs, v, p)
         assert out.reason.startswith(f"{hypothesis} fails")
+
+
+def test_a_chain_checked_against_many_probes_reads_its_steps_once():
+    # 40 probes through both claims read the chain's len(z) - 1 steps once;
+    # at the selector's true modulus no propagation leg runs, so the step
+    # check is the only caller of distance
+    g = comb_graph(28, 12)  # 40 vertices
+    m = PathMetric(g)
+    f = min_selector(_ids(g))
+    r = modulus(m, f).r
+    z, p = tuple(range(0, 28, 2)) + (27,), 2
+    distance, calls = m.distance, 0
+
+    def counted_distance(u, v):
+        nonlocal calls
+        calls += 1
+        return distance(u, v)
+
+    m.distance = counted_distance
+    for v in range(40):
+        assert not isinstance(claim2_check(m, f, r, ClaimConfig(v=v, z=z, p=p)), Witness)
+        assert not isinstance(claim3_side(m, f, r, z, v, p), Witness)
+    assert calls == len(z) - 1
+
+
+def test_a_long_step_is_named_by_its_first_index():
+    m = PathMetric(path_graph(30))
+    f = min_selector(_ids(m.graph))
+    good, bad = (0, 2, 4, 6), (0, 1, 2, 5, 6, 20, 21)  # steps 1, 1, 3, 1, 14, 1
+    for zs in (good, bad, good, list(bad)):  # a stale step memo passes bad
+        out2 = claim2_check(m, f, 1, ClaimConfig(v=29, z=zs, p=2))
+        out3 = claim3_side(m, f, 1, zs, 29, 2)
+        assert out2 == oracle_claim2(m, f, 1, zs, 29, 2)
+        assert out3 == oracle_claim3(m, f, 1, zs, 29, 2)
+        if zs != good:
+            assert out2 == out3 == HypothesisUnmet("chain step 2 exceeds p")

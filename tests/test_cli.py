@@ -618,3 +618,25 @@ def test_rationals_of_any_size_are_printed_exactly(capsys, tmp_path, name, expec
     if name == "sample":
         lines = (tmp_path / "out.txt").read_text().splitlines()
         assert (lines[0], lines[1], lines[10]) == ("points 11", f"0 1 1/{TEN_4999}0", f"0 10 1/{TEN_4999}")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["sample", "--shape", "segment:1", "--step", "1E5000"], f"step 1{'0' * 5000} > 1/2"),
+        (["sample", "--shape", "segment:1", "--step", "3E-5000"], f"step 3/1{'0' * 5000} does not divide 1"),
+        (
+            ["net", "build", "--shape", "segment:1E5000", "--step", "1/2"],
+            f"the sample would hold 2{'0' * 4999}1 points, above the cap of 4096",
+        ),
+        (["sample", "--shape", "segment:1", "--step", "1"], "step 1 > 1/2"),
+    ],
+    ids=["step-above-half", "step-does-not-divide", "above-the-cap", "step-one"],
+)
+def test_error_texts_print_every_digit(capsys, argv, error):
+    # str(int) refuses more than 4,300 digits; an integer still prints without '/1'
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    report = json.loads(captured.out)
+    assert report["error"] == error and "outcome" not in report

@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -160,12 +161,20 @@ def _case(draw):
 
 
 def _run_with_files(argv, files: dict) -> None:
+    # the case runs inside its own directory, so a drawn relative path such
+    # as `--out bogus` is written there; os.chdir, since contextlib.chdir
+    # needs Python 3.11
     with tempfile.TemporaryDirectory() as tmp:
         for name, content in files.items():
             (Path(tmp) / name).write_bytes(content)
         buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = run([arg.replace("@", tmp + "/") for arg in argv])
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(buf):
+                code = run([arg.replace("@", tmp + "/") for arg in argv])
+        finally:
+            os.chdir(cwd)
     report = json.loads(buf.getvalue())
     assert isinstance(report, dict)
     assert code in (0, 1, 2)

@@ -242,3 +242,29 @@ def test_build_graph_components_match_networkx(drawn):
         with pytest.raises(DisconnectedGraph) as err:
             build_graph(edges, vertex_count=n)
         assert sorted(err.value.components) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(), st.sampled_from([0, 4096]), st.data())
+def test_max_step_matches_a_step_scan(g, dense_cap, data):
+    # chains asked about in turn, A, B, A first, as lists or tuples: a memo
+    # that kept a stale answer gives the other chain's step; cap 0 reads
+    # BFS rows, the default cap the matrix
+    n = g.vertex_count
+    oracle = floyd_warshall(n, g.edge_list())
+    m = PathMetric(g, dense_cap=dense_cap)
+    m.dense_matrix()
+    chains = data.draw(
+        st.lists(st.lists(st.integers(0, n - 1), max_size=8), min_size=2, max_size=4, unique_by=tuple)
+    )
+    order = [0, 1, 0] + data.draw(st.lists(st.integers(0, len(chains) - 1), max_size=8))
+    for i in order:
+        z = data.draw(st.sampled_from([list, tuple]))(chains[i])
+        assert m.max_step(z) == max((oracle[a][b] for a, b in zip(z, z[1:])), default=0)
+        assert m._last_steps == (tuple(z), m.max_step(z))  # one entry: the last chain
+
+
+def test_max_step_of_short_sequences_is_zero():
+    m = PathMetric(path_graph(5))
+    assert (m.max_step([]), m.max_step(()), m.max_step([3]), m.max_step((4,))) == (0, 0, 0, 0)
+    assert m.max_step([0, 4, 2]) == 4
