@@ -11,9 +11,11 @@ recorded under --timing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -484,9 +486,10 @@ def cmd_order_compat(args):
     g = load_graph(args)
     m = PathMetric(g)
     order = _load_order(args, args.order, g.vertex_count)
+    order_compat.check_cap(args.e, args.cap)
+    # the modulus builds the all-pairs matrix, so the order scans read their rows from it
+    sel_r = selector_mod.modulus(m, selector_mod.order_to_selector(order)).r
     report = order_compat.min_compat_radius(m, order, args.e, cap=args.cap)
-    f = selector_mod.order_to_selector(order)
-    sel_r = selector_mod.modulus(m, f).r
     payload = {"e": report.e, "order_selector_modulus": sel_r}
     if isinstance(report.result, order_compat.MinimalG):
         payload["result"] = {"g": report.result.g}
@@ -663,8 +666,41 @@ def run(argv) -> int:
     return code
 
 
+class _QuietOnClosedPipe:
+    """A text stream that goes quiet once the reader closes its pipe.
+
+    The first BrokenPipeError points the stream's descriptor at os.devnull,
+    as the Python docs advise for SIGPIPE, so the rest of the report and the
+    interpreter's flush at exit go nowhere and the command keeps its exit code.
+    """
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def _to_devnull(self) -> None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, self._stream.fileno())
+        os.close(devnull)
+
+    def write(self, text: str) -> int:
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            self._to_devnull()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            self._to_devnull()
+
+
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    with contextlib.redirect_stdout(_QuietOnClosedPipe(sys.stdout)):
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

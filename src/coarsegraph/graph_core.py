@@ -110,6 +110,55 @@ def _bfs(adj, order: list[int], dist: list[int]) -> list[int]:
     return order
 
 
+# B: a batched BFS chunk takes k = B // (n * width) sources (at least one), so
+# a level expands at most max(B, n * width) table entries
+BATCH_ENTRIES = 1 << 22
+# below this many vertices the fixed numpy cost of a level exceeds a row BFS
+BATCH_MIN_VERTICES = 128
+
+
+def neighborhood_table(g: Graph, vertices) -> np.ndarray:
+    """Sorted closed neighbourhoods N[v] of ``vertices``, one int64 row each.
+
+    Rows are padded to a common width by repeating their last entry.
+    """
+    rows = [g.closed_neighborhood(v) for v in vertices]
+    width = max(map(len, rows))
+    return np.array([row + row[-1:] * (width - len(row)) for row in rows], dtype=np.int64)
+
+
+def _batched_bfs(flat: np.ndarray, table: np.ndarray, sources: np.ndarray) -> None:
+    """Distance rows of ``sources`` written into a flat n*n int32 matrix.
+
+    Multi-source BFS (Then et al., VLDB 2014): one level loop serves a chunk
+    of k sources at once.  Keys are flat indices s*n + v, and the rows of
+    ``sources`` hold -1 on entry.  Each level expands its frontier through
+    the closed-neighbourhood ``table`` and keeps the keys still at -1; a
+    padded slot or v itself is always visited already.  The kept keys are
+    deduplicated by writing distinct negative marks at them and keeping the
+    keys that read their own mark back.  A level expands at most k*n*width
+    entries, which is at most max(BATCH_ENTRIES, n*width), and allocates no
+    more than 32 bytes per entry it expands.
+    """
+    n, width = table.shape
+    k = max(1, min(n, BATCH_ENTRIES // (n * width)))
+    for c in range(0, len(sources), k):
+        keys = sources[c : c + k] * (n + 1)  # the diagonal entries s*n + s
+        flat[keys] = 0
+        level = 0
+        while keys.size:
+            level += 1
+            verts = keys % n
+            cand = table.take(verts, axis=0)
+            cand += (keys - verts)[:, None]
+            cand = cand.ravel()
+            cand = cand[flat.take(cand) == -1]
+            marks = np.arange(-2, -2 - cand.size, -1, dtype=np.int32)
+            flat[cand] = marks
+            keys = cand[flat.take(cand) == marks]
+            flat[keys] = level
+
+
 def _components(n: int, adj) -> list[list[int]]:
     dist = [-1] * n
     out = []
@@ -237,15 +286,30 @@ class PathMetric:
         return self._diameter
 
     def dense_matrix(self):
-        """All-pairs distance matrix as int32 ndarray, or None above the cap."""
-        if self.graph.vertex_count > self.dense_cap:
+        """All-pairs distance matrix as int32 ndarray, or None above the cap.
+
+        Memoized rows are copied in; the other rows go straight into the
+        matrix, not the memo.  They come from ``_batched_bfs`` when the graph
+        has at least BATCH_MIN_VERTICES vertices and padding the
+        neighbourhood table at most doubles a level's work (n * width <=
+        2 * (n + 2m)); otherwise from one deque BFS per row.
+        """
+        g = self.graph
+        if g.vertex_count > self.dense_cap:
             return None
         if self._dense is None:
-            n = self.graph.vertex_count
-            mat = np.empty((n, n), dtype=np.int32)
-            for v in range(n):  # each row straight into the matrix, not the memo
-                cached = self._rows.get(v)
-                mat[v] = cached if cached is not None else self._bfs_row(v)
+            n = g.vertex_count
+            mat = np.full((n, n), -1, dtype=np.int32)
+            for v, row in self._rows.items():
+                mat[v] = row
+            todo = [v for v in range(n) if v not in self._rows]
+            degrees = list(map(len, g.adjacency))
+            if n >= BATCH_MIN_VERTICES and n * (max(degrees) + 1) <= 2 * (n + sum(degrees)):
+                table = neighborhood_table(g, range(n))
+                _batched_bfs(mat.reshape(-1), table, np.array(todo, dtype=np.int64))
+            else:
+                for v in todo:
+                    mat[v] = self._bfs_row(v)
             self._dense = mat
         return self._dense
 

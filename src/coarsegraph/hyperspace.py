@@ -6,18 +6,16 @@ Two-element subsets of the vertex set are represented as sorted tuples
 The d_H <= 1 pair neighbourhood has one definition and one scan order.  A
 pair {x, y} lies within Hausdorff distance 1 of {a, b} exactly when, up to
 swapping x and y, x is in the closed neighbourhood N[a] and y in N[b].
-``neighborhood_table`` holds the sorted N[v] as rows, padded by repeating
-each row's last entry, and the scan visits (pair index, slot of a, slot of
-b) in lexicographic order: pairs {a < b} in (a, b) order, then each x in
-row a, then each y in row b, skipping x == y.  A padded slot repeats an
-(x, y) already met earlier in the same pair's scan, so the first entry of
-the scan that meets a condition is never a padded one.
+``graph_core.neighborhood_table`` holds the sorted N[v] as rows, padded
+by repeating each row's last entry, and the scan visits (pair index, slot
+of a, slot of b) in lexicographic order: pairs {a < b} in (a, b) order,
+then each x in row a, then each y in row b, skipping x == y.  A padded
+slot repeats an (x, y) already met earlier in the same pair's scan, so the
+first entry of the scan that meets a condition is never a padded one.
 """
 from __future__ import annotations
 
-import numpy as np
-
-from .graph_core import Graph, InputError, PathMetric
+from .graph_core import InputError, PathMetric, neighborhood_table
 
 
 class EmptySet(InputError):
@@ -50,16 +48,6 @@ def hausdorff_distance(m: PathMetric, A, B) -> int:
         row = m.row(b)
         best = max(best, min(row[a] for a in A))
     return best
-
-
-def neighborhood_table(g: Graph, vertices) -> np.ndarray:
-    """Sorted closed neighbourhoods N[v] of ``vertices``, one int64 row each.
-
-    Rows are padded to a common width by repeating their last entry.
-    """
-    rows = [g.closed_neighborhood(v) for v in vertices]
-    width = max(map(len, rows))
-    return np.array([row + row[-1:] * (width - len(row)) for row in rows], dtype=np.int64)
 
 
 def neighbor_pair_candidates(m: PathMetric, P):

@@ -91,6 +91,12 @@ def _violations_at(m: PathMetric, order: LinearOrder, e: int, g: int, limit=16):
     return out
 
 
+def check_cap(e: int, cap: int | None) -> None:
+    """Refuse a cap below e, before any distance is computed."""
+    if cap is not None and cap < e:
+        raise InputError("cap must be at least e")
+
+
 def min_compat_radius(
     m: PathMetric, order: LinearOrder, e: int, cap: int | None = None
 ) -> CompatibilityReport:
@@ -102,10 +108,9 @@ def min_compat_radius(
     defaults to max(e, diameter), and past it the result is NotFound with the
     violating triples at the cap.
     """
+    check_cap(e, cap)
     if cap is None:
         cap = max(e, m.diameter())
-    if cap < e:
-        raise InputError("cap must be at least e")
     by_rank = order.vertices_by_rank()
     g = e
     for x, _, lo, hi in _ball_spans(m, order, e):

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import InputError, PathMetric
-from .hyperspace import hausdorff_distance, neighborhood_table, vpair
+from .graph_core import InputError, PathMetric, neighborhood_table
+from .hyperspace import hausdorff_distance, vpair
 
 
 class NonInjectiveCoordinate(ValueError):

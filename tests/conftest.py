@@ -1,12 +1,13 @@
 """Shared oracles and fixtures.
 
 The oracles here are deliberately independent of the package internals:
-Floyd-Warshall for distances, direct formula evaluation for the Hausdorff
-metric, and brute-force enumeration wherever feasible.
+Floyd-Warshall and a queue BFS for distances, direct formula evaluation for
+the Hausdorff metric, and brute-force enumeration wherever feasible.
 """
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import networkx as nx
 import pytest
@@ -35,6 +36,31 @@ def floyd_warshall(n, edges):
                 if alt < di[j]:
                     di[j] = alt
     return dist
+
+
+def bfs_all_pairs(n, edges):
+    """All-pairs distances by one queue-based BFS per source.
+
+    Its own loop, not the package's ``_bfs``: the oracle for the all-pairs
+    matrix on graphs too large for Floyd-Warshall.
+    """
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    out = []
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            x = queue.popleft()
+            for w in adj[x]:
+                if dist[w] < 0:
+                    dist[w] = dist[x] + 1
+                    queue.append(w)
+        out.append(dist)
+    return out
 
 
 def brute_hausdorff(dist, A, B):

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import coarsegraph
 from coarsegraph.cli import run
 
 
@@ -640,3 +645,45 @@ def test_error_texts_print_every_digit(capsys, argv, error):
     assert (code, captured.err) == (2, "")
     report = json.loads(captured.out)
     assert report["error"] == error and "outcome" not in report
+
+
+
+def test_a_cap_below_e_is_refused_before_any_distance(capsys, monkeypatch):
+    # order compat builds the all-pairs matrix through the modulus; a bad cap never gets there
+    from coarsegraph import graph_core
+
+    def no_matrix(self):
+        raise AssertionError("the all-pairs matrix was built")
+
+    monkeypatch.setattr(graph_core.PathMetric, "dense_matrix", no_matrix)
+    code, out = _capture(capsys, ["order", "compat", "--generate", "path:200", "--e", "3", "--cap", "2"])
+    assert (code, json.loads(out)["error"]) == (2, "cap must be at least e")
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["sample", "--shape", "segment:1", "--step", "1/400"], 0),
+        (["selector", "min", "--generate", "path:40"], 0),
+        (["selector", "verify", "--generate", "path:5", "--selector", "min", "--r", "0"], 1),
+        (["selector", "modulus", "--generate", "path:5"], 2),
+    ],
+    ids=["success", "success-40kB", "outcome", "input-error"],
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_quietly_with_the_command_code(argv, code, unbuffered):
+    # the write fails inside print when unbuffered or past the 8 kB buffer,
+    # otherwise at the final flush
+    src = str(Path(coarsegraph.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coarsegraph", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env
+    )
+    # both ends close while the child is still starting, so its report write always fails
+    os.close(write_end)
+    os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err.decode()) == (code, "")
