@@ -74,5 +74,7 @@ from .search import (
     BudgetExceeded,
     Feasible,
     Infeasible,
+    Refutation,
     min_modulus_search,
+    verify_refutation,
 )

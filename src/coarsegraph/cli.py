@@ -284,14 +284,18 @@ def cmd_selector_table(args):
 def cmd_selector_search(args):
     g = load_graph(args)
     outcomes = search.min_modulus_search(g, args.r_cap, node_budget=args.budget)
-    payload = []
-    for oc in outcomes:
-        if isinstance(oc, search.Feasible):
-            payload.append({"r": oc.r, "feasible": True, "nodes": oc.nodes})
-        else:
-            payload.append(
-                {"r": oc.r, "feasible": False, "nodes": oc.nodes, "backtracks": oc.backtracks}
-            )
+    payload = [
+        {"r": oc.r, "feasible": isinstance(oc, search.Feasible), "nodes": oc.nodes}
+        for oc in outcomes
+    ]
+    infeasible = [oc for oc in outcomes if isinstance(oc, search.Infeasible)]
+    if infeasible:
+        # infeasibility is monotone in r, so the last refutation covers every smaller r
+        ref = infeasible[-1].refutation
+        payload[len(infeasible) - 1]["refutation"] = {
+            "pair": ref.pair,
+            "branches": [{"steps": b.steps, "conflict": b.conflict} for b in ref.branches],
+        }
     feasible = [e["r"] for e in payload if e["feasible"]]
     return {
         "outcomes": payload,

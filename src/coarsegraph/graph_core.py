@@ -217,7 +217,8 @@ class PathMetric:
     and a single distance outside the row memo is read from the matrix
     without memoizing a row beside it.  ``max_step`` remembers the last
     sequence it was asked about, so callers that check one chain against
-    many probes read its steps once.
+    many probes read its steps once.  The padded neighbourhood table of
+    every vertex is built once, by ``neighborhoods``.
     """
 
     def __init__(self, graph: Graph, dense_cap: int = 4096):
@@ -226,6 +227,7 @@ class PathMetric:
         self._rows: dict[int, list[int]] = {}
         self._dense = None
         self._diameter = None
+        self._table = None
         self._last_steps: tuple[tuple[int, ...], int] | None = None
 
     def row(self, u: int) -> list[int]:
@@ -263,6 +265,12 @@ class PathMetric:
         step = max(map(self.distance, key, key[1:]), default=0)
         self._last_steps = (key, step)
         return step
+
+    def neighborhoods(self) -> np.ndarray:
+        """``neighborhood_table`` of all vertices in id order, memoized."""
+        if self._table is None:
+            self._table = neighborhood_table(self.graph, range(self.graph.vertex_count))
+        return self._table
 
     def ball(self, v: int, radius: int) -> set[int]:
         row = self.row(v)
@@ -305,8 +313,7 @@ class PathMetric:
             todo = [v for v in range(n) if v not in self._rows]
             degrees = list(map(len, g.adjacency))
             if n >= BATCH_MIN_VERTICES and n * (max(degrees) + 1) <= 2 * (n + sum(degrees)):
-                table = neighborhood_table(g, range(n))
-                _batched_bfs(mat.reshape(-1), table, np.array(todo, dtype=np.int64))
+                _batched_bfs(mat.reshape(-1), self.neighborhoods(), np.array(todo, dtype=np.int64))
             else:
                 for v in todo:
                     mat[v] = self._bfs_row(v)

@@ -1,21 +1,63 @@
 """Decide whether a graph admits any two-selector of modulus at most r.
 
-Backtracking over one choice variable per vertex pair with unit
-propagation along the d_H <= 1 neighbor constraints.
+For a fixed r this is a 2-SAT instance: one boolean per vertex pair (it
+chooses one element or the other), and one 2-clause for each pair of d_H <= 1
+neighbour pairs and each choice of their elements at distance more than r.
+The search decides it by limited backtracking (Even, Itai and Shamir, SIAM
+J. Comput. 5, 1976): each unassigned pair in turn tries its first element and
+propagates; on a conflict that trail is undone and the second element tried;
+if both conflict, r is infeasible.  No earlier decision is revisited.  That
+is sound because a propagation that ends without a conflict leaves every
+clause that touches an assigned pair satisfied whatever the unassigned pairs
+choose: the assigned part is an autarky.
+
+For the same reason a conflict lies within its own branch, so an infeasible
+r carries a ``Refutation`` that stands alone: the pair that fails both ways
+and, for each of its elements, the forced steps ending in the conflict.
+``verify_refutation`` re-derives it from the metric, without search code.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph_core import Graph, InputError, InvariantError, PathMetric
-from .hyperspace import neighbor_pair_candidates
-from .selector import Holds, TwoSelector, selector_from_table, verify_selector
+from .hyperspace import hausdorff_distance
+from .selector import BLOCK_ELEMENTS, Holds, TwoSelector, selector_from_table, verify_selector
 
 
 class BudgetExceeded(InputError):
     def __init__(self, nodes: int):
         self.nodes = nodes
         super().__init__(f"search budget exceeded after {nodes} nodes")
+
+
+@dataclass(frozen=True)
+class Branch:
+    """One element of a refuted pair, assumed, and what it forces.
+
+    ``steps`` are (pair, choice, forcing pair) triples.  The first is the
+    assumption, with forcing pair None.  Each later pair is forced to its
+    choice because its other element lies more than r from the image of a
+    d_H <= 1 neighbour pair chosen earlier in the branch.  ``conflict`` is
+    (pair, forcing pair): no element the branch leaves to the pair lies
+    within r of the forcing pair's image.
+    """
+
+    steps: tuple
+    conflict: tuple
+
+
+@dataclass(frozen=True)
+class Refutation:
+    """No selector has modulus <= r: both elements of ``pair`` conflict.
+
+    ``branches[i]`` assumes that the pair chooses ``pair[i]``.
+    """
+
+    pair: tuple[int, int]
+    branches: tuple[Branch, Branch]
 
 
 @dataclass
@@ -29,38 +71,60 @@ class Feasible:
 class Infeasible:
     r: int
     nodes: int
-    backtracks: int
+    refutation: Refutation
 
 
 def _pair_structure(m: PathMetric):
-    """Pairs (a, b) with a < b, and each pair's neighbor index list."""
+    """Pairs (a, b) with a < b, and each pair's sorted neighbour index list.
+
+    The d_H <= 1 neighbours of {a, b} are the pairs {x, y} with x in N[a]
+    and y in N[b] (``hyperspace``), so one pass over the metric's padded
+    neighbourhood table, a block of pairs at a time, gives every list; the
+    pair itself and the x == y entries are dropped.
+    """
     n = m.graph.vertex_count
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    index = {p: i for i, p in enumerate(pairs)}
-    nbrs = [sorted(index[q] for q in neighbor_pair_candidates(m, p) if q != p) for p in pairs]
+    count = n * (n - 1) // 2
+    a, b = np.triu_indices(n, 1)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    table = m.neighborhoods()
+    width = table.shape[1]
+    nbrs: list[list[int]] = []
+    step = max(1, BLOCK_ELEMENTS // (width * width))
+    for p0 in range(0, count, step):
+        p = np.arange(p0, min(p0 + step, count))
+        x = table[a[p]][:, :, None]
+        y = table[b[p]][:, None, :]
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        index = np.where(x == y, count, lo * (2 * n - lo - 3) // 2 + hi - 1).reshape(len(p), -1)
+        index[index == p[:, None]] = count
+        index.sort(axis=1)
+        keep = index < count
+        keep[:, 1:] &= index[:, 1:] != index[:, :-1]
+        flat = index[keep].tolist()
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        nbrs.extend(flat[s:e] for s, e in zip([0, *ends], ends))
     return pairs, nbrs
 
 
-def _search_at(m: PathMetric, pairs, nbrs, r: int, budget: int):
-    """Backtracking with propagation at bound r.
+def _search_at(m: PathMetric, pairs, nbrs, order, r: int, budget: int):
+    """Limited backtracking with propagation at bound r.
 
-    Variables are ordered by neighbor count (most constrained first) and
-    values by lower vertex id.  Returns (assignment, nodes, backtracks),
-    with assignment None when no selector of modulus <= r exists.  An
-    unassigned pair always has both of its elements left: propagation
-    assigns a pair as soon as one element is ruled out and fails when both
-    are, so the assignment is the whole state.  The depth-first walk keeps
-    its decisions on an explicit stack, so its depth is not bounded by
-    Python's recursion limit.
+    Pairs are decided in ``order`` and take their lower vertex first.
+    Returns (assignment, nodes, refutation): the assignment maps pair index
+    to chosen vertex, or is None with a refutation when no selector of
+    modulus <= r exists; nodes counts the values tried, at most two per
+    pair.  An unassigned pair always has both of its elements left:
+    propagation assigns a pair as soon as one element is ruled out and
+    fails when both are, so the assignment is the whole state.
     """
-    count = len(pairs)
-    order = sorted(range(count), key=lambda i: (-len(nbrs[i]), pairs[i]))
     assignment: dict[int, int] = {}
     nodes = 0
-    backtracks = 0
 
-    def prune(var: int, trail: list) -> bool:
-        """Propagate the assignment of ``var``; False on wipeout."""
+    def prune(var: int, trail: list):
+        """Propagate the assignment of ``var``; the conflict, or None.
+
+        Each forced pair goes on ``trail`` as (pair, choice, forcing pair).
+        """
         queue = [var]
         while queue:
             cur = queue.pop()
@@ -68,54 +132,84 @@ def _search_at(m: PathMetric, pairs, nbrs, r: int, budget: int):
             for other in nbrs[cur]:
                 if other in assignment:
                     if row[assignment[other]] > r:
-                        return False
+                        return other, cur
                     continue
                 a, b = pairs[other]
                 if row[a] > r:
                     if row[b] > r:
-                        return False
+                        return other, cur
                     assignment[other] = b
                 elif row[b] > r:
                     assignment[other] = a
                 else:
                     continue
-                trail.append(other)
+                trail.append((other, assignment[other], cur))
                 queue.append(other)
-        return True
+        return None
 
-    # One frame per decision: [depth, var, next value, pairs assigned by the
-    # value tried last, or None once they are unassigned].
-    stack: list[list] = []
-    depth = 0
-    while True:
-        while depth < count and order[depth] in assignment:
-            depth += 1
-        if depth == count:
-            return dict(assignment), nodes, backtracks
-        var = order[depth]
-        stack.append([depth, var, 0, None])
-        while stack:
-            frame = stack[-1]
-            depth, var, i, trail = frame
-            if trail is not None:
-                for other in trail:
-                    del assignment[other]
-                backtracks += 1
-                frame[3] = None
-            if i == 2:
-                stack.pop()
-                continue
-            frame[2] = i + 1
+    for var in order:
+        if var in assignment:
+            continue
+        branches = []
+        for value in pairs[var]:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(nodes)
-            assignment[var] = pairs[var][i]
-            frame[3] = trail = [var]
-            if prune(var, trail):
-                depth += 1
+            assignment[var] = value
+            trail = [(var, value, None)]
+            conflict = prune(var, trail)
+            if conflict is None:
                 break
+            for other, _, _ in trail:
+                del assignment[other]
+            branches.append(Branch(
+                tuple((pairs[q], c, None if by is None else pairs[by]) for q, c, by in trail),
+                (pairs[conflict[0]], pairs[conflict[1]]),
+            ))
         else:
-            return None, nodes, backtracks
+            return None, nodes, Refutation(pairs[var], tuple(branches))
+    return assignment, nodes, None
+
+
+def verify_refutation(m: PathMetric, r: int, refutation: Refutation) -> bool:
+    """True iff ``refutation`` proves that no selector has modulus <= r.
+
+    Each branch must start from its element of the refuted pair, force every
+    later step from a pair earlier in the branch through one d_H <= 1 check
+    and one distance > r, and end in a conflict that the same two checks
+    confirm.  Reads distances and ``hausdorff_distance``; nothing of the
+    search.
+    """
+    n = m.graph.vertex_count
+
+    def is_pair(q) -> bool:
+        return isinstance(q, tuple) and len(q) == 2 and 0 <= q[0] < q[1] < n
+
+    def linked(p, q) -> bool:
+        return hausdorff_distance(m, p, q) <= 1
+
+    pair = refutation.pair
+    if not is_pair(pair) or len(refutation.branches) != 2:
+        return False
+    for value, branch in zip(pair, refutation.branches):
+        image: dict[tuple[int, int], int] = {}
+        for q, c, by in branch.steps:
+            if not image:
+                if (q, c, by) != (pair, value, None):
+                    return False
+            elif not (
+                is_pair(q) and q not in image and by in image and c in q
+                and linked(by, q) and m.distance(image[by], q[1] if c == q[0] else q[0]) > r
+            ):
+                return False
+            image[q] = c
+        q, by = branch.conflict
+        if not (is_pair(q) and by in image and linked(by, q)):
+            return False
+        left = (image[q],) if q in image else q
+        if any(m.distance(image[by], v) <= r for v in left):
+            return False
+    return True
 
 
 def min_modulus_search(
@@ -123,15 +217,20 @@ def min_modulus_search(
 ) -> list[Feasible | Infeasible]:
     """Outcomes per r from 0 up to the first feasible bound (or r_cap).
 
-    A Feasible outcome carries a selector that re-verifies at its r.
+    A Feasible outcome carries a selector that re-verifies at its r, and an
+    Infeasible one its refutation.  The last refutation is checked by
+    ``verify_refutation``; a refutation at r also holds at every smaller r,
+    so it certifies every Infeasible outcome.  The budget caps the nodes of
+    each r.
     """
     m = PathMetric(g)
     pairs, nbrs = _pair_structure(m)
+    order = sorted(range(len(pairs)), key=lambda i: (-len(nbrs[i]), pairs[i]))
     outcomes: list[Feasible | Infeasible] = []
     for r in range(r_cap + 1):
-        assignment, nodes, backtracks = _search_at(m, pairs, nbrs, r, node_budget)
+        assignment, nodes, refutation = _search_at(m, pairs, nbrs, order, r, node_budget)
         if assignment is None:
-            outcomes.append(Infeasible(r, nodes, backtracks))
+            outcomes.append(Infeasible(r, nodes, refutation))
             continue
         table = {pairs[i]: v for i, v in assignment.items()}
         selector = selector_from_table(table)
@@ -139,4 +238,7 @@ def min_modulus_search(
             raise InvariantError("search produced a selector that fails verification")
         outcomes.append(Feasible(r, selector, nodes))
         break
+    infeasible = [o for o in outcomes if isinstance(o, Infeasible)]
+    if infeasible and not verify_refutation(m, infeasible[-1].r, infeasible[-1].refutation):
+        raise InvariantError("search produced a refutation that fails verification")
     return outcomes

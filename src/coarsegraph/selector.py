@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import InputError, PathMetric, neighborhood_table
+from .graph_core import InputError, PathMetric
 from .hyperspace import hausdorff_distance, vpair
 
 
@@ -189,7 +189,7 @@ def _jump_blocks(m: PathMetric, f: TwoSelector):
     n = m.graph.vertex_count
     dist = m.dense_matrix()
     choose = _chooser(f, n)
-    nbr = neighborhood_table(m.graph, range(n)).T.copy()
+    nbr = m.neighborhoods().T.copy()
     width = nbr.shape[0]
     v = np.arange(n)
     starts = v * (2 * n - v - 1) // 2  # index of pair (v, v + 1)

@@ -15,8 +15,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coarsegraph import PathMetric, build_graph, graph_core
+from coarsegraph import Holds, PathMetric, build_graph, graph_core, min_selector, modulus, verify_selector
 from coarsegraph.generators import cycle_graph, grid_graph, path_graph
+from coarsegraph.search import Feasible, min_modulus_search
 
 from conftest import bfs_all_pairs
 
@@ -141,3 +142,28 @@ def test_a_build_allocates_the_matrix_and_the_stated_bound(monkeypatch, g, entri
         tracemalloc.stop()
     bound = LEVEL_BYTES * max(entries, table) + TABLE_BYTES * table
     assert peak <= mat.nbytes + bound
+
+
+@pytest.mark.parametrize(
+    "g", [path_graph(200), grid_graph(20, 10), grid_graph(5, 5)], ids=["path:200", "grid:20x10", "grid:5x5"]
+)
+def test_the_neighbourhood_table_is_built_once_per_metric(monkeypatch, g):
+    # the matrix build, the selector kernel and the search's pair structure
+    # all read the metric's one table: N[v] is listed once per vertex
+    calls = []
+    listing = graph_core.Graph.closed_neighborhood
+
+    def spy(graph, v):
+        calls.append(v)
+        return listing(graph, v)
+
+    monkeypatch.setattr(graph_core.Graph, "closed_neighborhood", spy)
+    n = g.vertex_count
+    m = PathMetric(g)
+    f = min_selector(list(range(n)))
+    assert verify_selector(m, f, modulus(m, f).r) == Holds()
+    assert calls == list(range(n))
+    if n * (n - 1) // 2 <= 300:
+        calls.clear()
+        assert isinstance(min_modulus_search(g, n)[-1], Feasible)
+        assert calls == list(range(n))

@@ -6,11 +6,14 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import coarsegraph
-from coarsegraph.cli import run
+from coarsegraph.cli import parse_generate, run
+from conftest import bfs_all_pairs
+from search_oracle import oracle_verify_refutation
 
 
 def _capture(capsys, argv):
@@ -235,7 +238,35 @@ def test_selector_search_cli(capsys):
         capsys, ["selector", "search", "--generate", "path:4", "--r-cap", "2"]
     )
     assert code == 0
-    assert json.loads(out)["outcome"]["minimal_modulus"] == 1
+    outcome = json.loads(out)["outcome"]
+    assert outcome["minimal_modulus"] == 1
+    infeasible, feasible = outcome["outcomes"]
+    assert "refutation" not in feasible and "backtracks" not in infeasible
+    assert infeasible["refutation"] == {
+        "pair": [1, 2],
+        "branches": [
+            {"steps": [[[1, 2], 1, None], [[0, 1], 1, [1, 2]]], "conflict": [[0, 2], [1, 2]]},
+            {"steps": [[[1, 2], 2, None]], "conflict": [[0, 1], [1, 2]]},
+        ],
+    }
+
+
+def test_selector_search_reports_the_last_refutation(capsys):
+    # only the last infeasible r carries a refutation; in the report's form
+    # it passes the independent checker there and at every smaller r
+    code, out = _capture(capsys, ["selector", "search", "--generate", "cycle:14", "--r-cap", "7"])
+    assert code == 0
+    outcomes = json.loads(out)["outcome"]["outcomes"]
+    assert [("refutation" in o) for o in outcomes] == [False] * 6 + [True, False]
+    report = outcomes[6]["refutation"]
+    refutation = SimpleNamespace(
+        pair=report["pair"],
+        branches=[SimpleNamespace(steps=b["steps"], conflict=b["conflict"]) for b in report["branches"]],
+    )
+    g = parse_generate("cycle:14")
+    dist = bfs_all_pairs(14, g.edge_list())
+    assert all(oracle_verify_refutation(dist, r, refutation) for r in range(7))
+    assert not oracle_verify_refutation(dist, 7, refutation)
 
 
 def test_missing_graph_is_input_error(capsys):
@@ -463,10 +494,11 @@ def test_selector_search_rejects_negative_budget(capsys):
 def test_selector_search_budget_is_input_error(capsys):
     code, out = _capture(
         capsys,
-        ["selector", "search", "--generate", "grid:4x4", "--r-cap", "4", "--budget", "100"],
+        ["selector", "search", "--generate", "grid:4x4", "--r-cap", "4", "--budget", "50"],
     )
+    # r = 4 tries 98 values, the most of any r on grid:4x4
     assert code == 2
-    assert "search budget exceeded after 101 nodes" in json.loads(out)["error"]
+    assert "search budget exceeded after 51 nodes" in json.loads(out)["error"]
 
 
 @pytest.mark.parametrize(
