@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import InvariantError, PathMetric, geodesic_between
+from .graph_core import ChainProfile, InvariantError, PathMetric, geodesic_between
 from .selector import Holds, TwoSelector, Witness
 from .hyperspace import hausdorff_distance, vpair
 
@@ -52,23 +52,23 @@ def _chain_vertices(m: PathMetric, anchors) -> list[int]:
     return walk
 
 
-def _chain_unmet(m: PathMetric, zs, p: int) -> HypothesisUnmet | None:
-    """The first chain hypothesis that fails: a nonempty chain, p > 0, steps <= p.
+def _checked_chain(m: PathMetric, zs, p: int) -> ChainProfile | HypothesisUnmet:
+    """The chain's profile, or the first chain hypothesis that fails: a
+    nonempty chain, p > 0, steps <= p.
 
-    The largest step comes from ``m.max_step``, which remembers the last
-    chain, so a chain checked against many probes is read once; only a
-    chain that fails is scanned again, for its first long step.
+    ``m.chain_profile`` remembers the last chain, so a chain checked against
+    many probes is read once; only a chain that fails is scanned again, for
+    its first long step.
     """
     if len(zs) < 1:
         return HypothesisUnmet("empty chain")
     if p <= 0:
         return HypothesisUnmet("p must be positive")
-    if m.max_step(zs) <= p:
-        return None
-    for i, (z1, z2) in enumerate(zip(zs, zs[1:])):
-        if m.distance(z1, z2) > p:
-            return HypothesisUnmet(f"chain step {i} exceeds p")
-    return None
+    prof = m.chain_profile(zs)
+    if prof.max_step <= p:
+        return prof
+    i = next(i for i, (z1, z2) in enumerate(zip(zs, zs[1:])) if m.distance(z1, z2) > p)
+    return HypothesisUnmet(f"chain step {i} exceeds p")
 
 
 def _first_break(m: PathMetric, f: TwoSelector, r: int, pairs):
@@ -86,16 +86,6 @@ def _first_break(m: PathMetric, f: TwoSelector, r: int, pairs):
                 return Witness(prev, cur)
             prev, prev_choice = cur, choice
     return None
-
-
-def _nearest_index(m: PathMetric, v: int, zs) -> tuple[int, int]:
-    """Lowest index attaining min distance from v to the sequence."""
-    row = m.row(v)
-    best, k = None, -1
-    for i, z in enumerate(zs):
-        if best is None or row[z] < best:
-            best, k = row[z], i
-    return best, k
 
 
 def _first_within(row, vertices, bound: int) -> int | None:
@@ -139,26 +129,28 @@ def claim2_check(m, f: TwoSelector, r: int, config: ClaimConfig):
     against the opposite ends) would otherwise pin f({z_0, z_m}) to both of
     its values, so some leg must break; the first break is the witness.
     """
-    zs, v, p = config.z, config.v, config.p
-    unmet = _chain_unmet(m, zs, p)
-    if unmet is not None:
-        return unmet
-    t, k = _nearest_index(m, v, zs)
-    return _claim2_core(m, f, r, zs, v, p, k, t)
+    prof = _checked_chain(m, config.z, config.p)
+    if isinstance(prof, HypothesisUnmet):
+        return prof
+    return _claim2_core(m, f, r, prof, config.v, config.p)
 
 
-def _claim2_core(m, f: TwoSelector, r: int, zs, v: int, p: int, k: int, t: int):
-    """claim2_check past its precheck, with z_k nearest to v at distance t."""
+def _claim2_core(m, f: TwoSelector, r: int, prof: ChainProfile, v: int, p: int):
+    """claim2_check past its precheck, against the chain's profile.
+
+    Hypotheses (1) and (2) are tests against the profile's minima; only a
+    failing one scans the chain, to name its first index.
+    """
+    zs, t, k = prof.chain, prof.near_dist[v], prof.near_index[v]
     bound = p + r
     if t <= bound:
         return Holds()
     row_0, row_m = m.row(zs[0]), m.row(zs[-1])
-    i = _first_within(row_0, zs[k:], bound)
-    if i is not None:
-        return HypothesisUnmet(f"(1) fails: d(z_0, z_{k + i}) <= p + r")
-    i = _first_within(row_m, zs[: k + 1], bound)
-    if i is not None:
-        return HypothesisUnmet(f"(2) fails: d(z_m, z_{i}) <= p + r")
+    if prof.min_from_first[k] <= bound:
+        i = k + _first_within(row_0, zs[k:], bound)
+        return HypothesisUnmet(f"(1) fails: d(z_0, z_{i}) <= p + r")
+    if prof.min_from_last[k] <= bound:
+        return HypothesisUnmet(f"(2) fails: d(z_m, z_{_first_within(row_m, zs, bound)}) <= p + r")
     geo = geodesic_between(m, v, zs[k])
     if _first_within(row_0, geo, bound) is not None:
         return HypothesisUnmet("(3) fails: geodesic meets B(z_0, p + r)")
@@ -193,28 +185,27 @@ def claim3_side(m, f: TwoSelector, r: int, zs, v: int, p: int, q: int | None = N
     nearest index into the first or last q + 1 positions; a mid-chain
     nearest index is handed to claim2_check's core, which must produce a witness.
     """
-    zs = tuple(zs)
     if q is None:
         q = 2 * (r + p) + 1
-    unmet = _chain_unmet(m, zs, p)
-    if unmet is not None:
-        return unmet
-    last = len(zs) - 1
-    dmin, j = _nearest_index(m, v, zs)
-    bound = p + r
-    if dmin <= bound:
+    prof = _checked_chain(m, zs, p)
+    if isinstance(prof, HypothesisUnmet):
+        return prof
+    zs, last, bound = prof.chain, len(prof.chain) - 1, p + r
+    if prof.near_dist[v] <= bound:
         return HypothesisUnmet("d(v, P) <= p + r")
-    i = _first_within(m.row(zs[0]), zs[q + 1 :], bound)
-    if i is not None:
-        return HypothesisUnmet(f"end ball hypothesis fails at z_{q + 1 + i} near z_0")
-    i = _first_within(m.row(zs[-1]), zs[: max(last - q + 1, 0)], bound)
-    if i is not None:
+    lo, hi = max(q + 1, 0), min(last - q, last)  # the end balls' windows z_lo.. and ..z_hi
+    if lo <= last and prof.min_from_first[lo] <= bound:
+        i = lo + _first_within(m.row(zs[0]), zs[lo:], bound)
+        return HypothesisUnmet(f"end ball hypothesis fails at z_{i} near z_0")
+    if hi >= 0 and prof.min_from_last[hi] <= bound:
+        i = _first_within(m.row(zs[-1]), zs, bound)
         return HypothesisUnmet(f"end ball hypothesis fails at z_{i} near z_m")
+    j = prof.near_index[v]
     if j <= q:
         return LeftEnd(j)
     if j >= last - q:
         return RightEnd(j)
-    sub = _claim2_core(m, f, r, zs, v, p, j, dmin)
+    sub = _claim2_core(m, f, r, prof, v, p)
     if isinstance(sub, Holds):
         raise InvariantError("nearest distance both above and below p + r")
     return sub

@@ -136,7 +136,7 @@ def extract_line(
         if diag["iterations"] > nverts + 2:
             diag["anomalies"].append("iteration cap reached")
             break
-        from_line = m.distances_from_set(seq)
+        from_line = m.chain_profile(seq).near_dist  # claim3_side reads the same profile
         if max(from_line) <= coverage:
             break
         candidates = [v for v in range(nverts) if v not in claimed and row_c[v] >= n]
@@ -207,7 +207,7 @@ def extract_line(
         diag["coordinate_slack"] = max(diag["coordinate_slack"], _measure_slack(row_c, left, right))
 
     diag["line_length"] = len(seq)
-    diag["max_sequence_step"] = m.max_step(seq)
+    diag["max_sequence_step"] = m.chain_profile(seq).max_step
     coord = {c: 0}
     for i, w in enumerate(right):
         coord[w] = i + 1

@@ -8,6 +8,8 @@ caller's business.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,6 +112,23 @@ def _bfs(adj, order: list[int], dist: list[int]) -> list[int]:
     return order
 
 
+def _labelled_bfs(adj, order: list[int], dist: list[int], label: list[int]) -> None:
+    """``_bfs`` that also hands each vertex the label of its first discoverer.
+
+    With the sources in ``order`` by increasing label, each level is queued
+    in nondecreasing label order, so a vertex first reached at level L + 1
+    takes the smallest label among its neighbours at level L.
+    """
+    for x in order:
+        dx = dist[x] + 1
+        lx = label[x]
+        for w in adj[x]:
+            if dist[w] < 0:
+                dist[w] = dx
+                label[w] = lx
+                order.append(w)
+
+
 # B: a batched BFS chunk takes k = B // (n * width) sources (at least one), so
 # a level expands at most max(B, n * width) table entries
 BATCH_ENTRIES = 1 << 22
@@ -207,6 +226,22 @@ def build_graph(edge_list, vertex_count: int | None = None) -> Graph:
     return Graph(n, adj, duplicate_edges=dupes)
 
 
+class ChainProfile(NamedTuple):
+    """A chain z_0 .. z_m against every vertex, built once per chain.
+
+    ``near_dist[v]`` is d(v, {z_i}) and ``near_index[v]`` the lowest i with
+    d(v, z_i) equal to it; ``min_from_first[i]`` is the least d(z_0, z_j)
+    over j >= i, and ``min_from_last[i]`` the least d(z_m, z_j) over j <= i.
+    """
+
+    chain: tuple[int, ...]
+    max_step: int
+    near_dist: list[int]
+    near_index: list[int]
+    min_from_first: list[int]
+    min_from_last: list[int]
+
+
 class PathMetric:
     """Shortest-path distance oracle for a Graph.
 
@@ -215,9 +250,9 @@ class PathMetric:
     at most ``dense_cap`` vertices; larger graphs stay row-based.  Once the
     matrix exists, a row is read from it, so no distance is computed twice,
     and a single distance outside the row memo is read from the matrix
-    without memoizing a row beside it.  ``max_step`` remembers the last
-    sequence it was asked about, so callers that check one chain against
-    many probes read its steps once.  The padded neighbourhood table of
+    without memoizing a row beside it.  ``chain_profile`` remembers the
+    last chain it was asked about, so callers that check one chain against
+    many probes build its profile once.  The padded neighbourhood table of
     every vertex is built once, by ``neighborhoods``.
     """
 
@@ -228,7 +263,7 @@ class PathMetric:
         self._dense = None
         self._diameter = None
         self._table = None
-        self._last_steps: tuple[tuple[int, ...], int] | None = None
+        self._last_chain: ChainProfile | None = None
 
     def row(self, u: int) -> list[int]:
         cached = self._rows.get(u)
@@ -252,19 +287,35 @@ class PathMetric:
             return int(self._dense[u, v])
         return self.row(u)[v]
 
-    def max_step(self, seq) -> int:
-        """Largest d(z_i, z_{i+1}) along ``seq``, or 0 for fewer than two vertices.
+    def chain_profile(self, seq) -> ChainProfile:
+        """The ChainProfile of ``seq``, memoized for the last chain asked about.
 
-        One entry is memoized: the last sequence asked about and its answer,
-        replaced by the next different sequence.
+        One BFS seeded with the chain vertices in index order (a repeated
+        vertex keeps its first index) labels every vertex with its nearest
+        chain index: a vertex's nearest indices are those of its neighbours
+        one level closer.  The minima read the two end rows through ``row``
+        and the steps through ``distance``.  The memo holds 2n + 2|z| ints.
         """
         key = tuple(seq)
-        last = self._last_steps
-        if last is not None and last[0] == key:
-            return last[1]
+        last = self._last_chain
+        if last is not None and last.chain == key:
+            return last
+        n = self.graph.vertex_count
+        dist, label, order = [-1] * n, [-1] * n, []
+        for i, z in enumerate(key):
+            if dist[z] < 0:
+                dist[z] = 0
+                label[z] = i
+                order.append(z)
+        _labelled_bfs(self.graph.adjacency, order, dist, label)
+        from_first, from_last = [], []
+        if key:
+            row_0, row_m = self.row(key[0]), self.row(key[-1])
+            from_first = list(accumulate([row_0[z] for z in reversed(key)], min))[::-1]
+            from_last = list(accumulate([row_m[z] for z in key], min))
         step = max(map(self.distance, key, key[1:]), default=0)
-        self._last_steps = (key, step)
-        return step
+        self._last_chain = ChainProfile(key, step, dist, label, from_first, from_last)
+        return self._last_chain
 
     def neighborhoods(self) -> np.ndarray:
         """``neighborhood_table`` of all vertices in id order, memoized."""

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph_core import InputError, PathMetric
 
 
@@ -57,13 +59,19 @@ class CompatibilityReport:
     violations: list
 
 
-def _ball_spans(m: PathMetric, order: LinearOrder, e: int):
-    """(x, e-ball of x, lowest rank in it, highest rank in it) for each vertex x."""
-    rank = order.rank
+def _ball_spans(m: PathMetric, order: LinearOrder, e: int, dense):
+    """(x, row of x, e-ball of x in ascending ids, lowest rank in it, highest rank in it).
+
+    One tuple per vertex x, rows as int arrays.  They are views of
+    ``dense``, the all-pairs matrix, so no row list is memoized beside it;
+    with ``dense`` None they are m's BFS rows.
+    """
+    rank = np.array(order.rank)
     for x in range(m.graph.vertex_count):
-        ball = m.ball(x, e)
-        ranks = [rank[u] for u in ball]
-        yield x, ball, min(ranks), max(ranks)
+        row = np.asarray(m.row(x)) if dense is None else dense[x]
+        ball = np.flatnonzero(row <= e)
+        ranks = rank[ball]
+        yield x, row, ball, int(ranks.min()), int(ranks.max())
 
 
 def _violations_at(m: PathMetric, order: LinearOrder, e: int, g: int, limit=16):
@@ -73,19 +81,16 @@ def _violations_at(m: PathMetric, order: LinearOrder, e: int, g: int, limit=16):
     x must stay below y; if y < x, every such x' must stay above y.  x' is
     the lowest-id ball member that crosses.
     """
-    rank = order.rank
+    rank = np.array(order.rank)
     out = []
-    for x, ball, lo, hi in _ball_spans(m, order, e):
+    for x, row, ball, lo, hi in _ball_spans(m, order, e, m.dense_matrix()):
         rx = rank[x]
-        for y, d in enumerate(m.row(x)):
-            if y == x or d <= g:
-                continue
+        crossing = (row > g) & np.where(rank > rx, rank <= hi, rank >= lo)
+        crossing[x] = False
+        for y in np.flatnonzero(crossing).tolist():
             ry = rank[y]
-            if ry > rx:
-                if ry <= hi:
-                    out.append((x, min(u for u in ball if rank[u] >= ry), y))
-            elif ry >= lo:
-                out.append((x, min(u for u in ball if rank[u] <= ry), y))
+            crosses = rank[ball] >= ry if ry > rx else rank[ball] <= ry
+            out.append((x, int(ball[crosses][0]), y))
             if len(out) >= limit:
                 return out
     return out
@@ -109,13 +114,13 @@ def min_compat_radius(
     violating triples at the cap.
     """
     check_cap(e, cap)
+    dense = m.dense_matrix()  # first, so the diameter reads it too
     if cap is None:
         cap = max(e, m.diameter())
-    by_rank = order.vertices_by_rank()
+    by_rank = np.array(order.vertices_by_rank())
     g = e
-    for x, _, lo, hi in _ball_spans(m, order, e):
-        row = m.row(x)
-        g = max(g, max(row[by_rank[pos]] for pos in range(lo, hi + 1)))
+    for _, row, _, lo, hi in _ball_spans(m, order, e, dense):
+        g = max(g, int(row[by_rank[lo : hi + 1]].max()))
     if g <= cap:
         return CompatibilityReport(e, MinimalG(g), [])
     return CompatibilityReport(e, NotFound(cap), _violations_at(m, order, e, cap))
@@ -134,7 +139,7 @@ def is_interval_entourage(m: PathMetric, order: LinearOrder, e: int):
     vertex lying strictly inside the ball's rank span but outside the ball.
     """
     by_rank = order.vertices_by_rank()
-    for x, ball, lo, hi in _ball_spans(m, order, e):
+    for x, row, ball, lo, hi in _ball_spans(m, order, e, None):
         if hi - lo + 1 > len(ball):
-            return Counterexample(x, next(v for v in by_rank[lo : hi + 1] if v not in ball))
+            return Counterexample(x, next(v for v in by_rank[lo : hi + 1] if row[v] > e))
     return True

@@ -14,7 +14,8 @@ from coarsegraph import (
     build_graph,
     geodesic_between,
 )
-from coarsegraph.generators import grid_graph, path_graph, tripod_graph
+from coarsegraph.generators import comb_graph, grid_graph, path_graph, tripod_graph
+from coarsegraph.order_compat import LinearOrder, _violations_at, min_compat_radius
 
 from conftest import floyd_warshall, validate_geodesic
 
@@ -193,6 +194,13 @@ def test_dense_matrix_keeps_no_row_lists(g):
     assert m._rows == {}
     oracle = floyd_warshall(n, g.edge_list())
     assert m.dense_matrix().tolist() == oracle
+    # order compat builds the matrix itself and reads its scans from it, the
+    # violations past a cap included
+    compat, order = PathMetric(g), LinearOrder.natural(n)
+    min_compat_radius(compat, order, 1)
+    min_compat_radius(compat, order, 1, cap=1)
+    _violations_at(compat, order, 1, 0)
+    assert compat._rows == {} and compat._dense is not None
     for u in range(n):
         row = m.row(u)
         assert row == oracle[u] and all(type(d) is int for d in row)
@@ -260,11 +268,62 @@ def test_max_step_matches_a_step_scan(g, dense_cap, data):
     order = [0, 1, 0] + data.draw(st.lists(st.integers(0, len(chains) - 1), max_size=8))
     for i in order:
         z = data.draw(st.sampled_from([list, tuple]))(chains[i])
-        assert m.max_step(z) == max((oracle[a][b] for a, b in zip(z, z[1:])), default=0)
-        assert m._last_steps == (tuple(z), m.max_step(z))  # one entry: the last chain
+        prof = m.chain_profile(z)
+        assert prof.max_step == max((oracle[a][b] for a, b in zip(z, z[1:])), default=0)
+        assert m._last_chain is prof and prof.chain == tuple(z)  # one entry: the last chain
 
 
 def test_max_step_of_short_sequences_is_zero():
     m = PathMetric(path_graph(5))
-    assert (m.max_step([]), m.max_step(()), m.max_step([3]), m.max_step((4,))) == (0, 0, 0, 0)
-    assert m.max_step([0, 4, 2]) == 4
+    steps = [m.chain_profile(z).max_step for z in ([], (), [3], (4,), [0, 4, 2])]
+    assert steps == [0, 0, 0, 0, 4]
+
+
+@st.composite
+def profile_graphs(draw):
+    """Random connected graphs, random trees and combs."""
+    kind = draw(st.sampled_from(["connected", "tree", "comb"]))
+    if kind == "connected":
+        return draw(connected_graphs())
+    if kind == "tree":
+        n = draw(st.integers(min_value=1, max_value=16))
+        parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+        return build_graph([(u, v) for v, u in enumerate(parents, start=1)], vertex_count=n)
+    return comb_graph(draw(st.integers(min_value=2, max_value=12)), draw(st.integers(1, 6)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(profile_graphs(), st.booleans(), st.data())
+def test_chain_profile_matches_floyd_warshall(g, dense, data):
+    # chains repeat vertices and tie at equal distances: the nearest index
+    # is the lowest one attaining the distance; the end rows come from BFS
+    # rows or from the matrix
+    n = g.vertex_count
+    d = floyd_warshall(n, g.edge_list())
+    z = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    m = PathMetric(g)
+    if dense:
+        m.dense_matrix()
+    prof = m.chain_profile(z)
+    assert prof.chain == tuple(z)
+    for v in range(n):
+        near = min(d[v][w] for w in z)
+        assert prof.near_dist[v] == near
+        assert prof.near_index[v] == min(i for i, w in enumerate(z) if d[v][w] == near)
+    assert prof.near_dist == m.distances_from_set(z)
+    assert prof.min_from_first == [min(d[z[0]][w] for w in z[i:]) for i in range(len(z))]
+    assert prof.min_from_last == [min(d[z[-1]][w] for w in z[: i + 1]) for i in range(len(z))]
+    assert prof.max_step == max((d[a][b] for a, b in zip(z, z[1:])), default=0)
+
+
+def test_chain_profile_memo_follows_the_last_chain():
+    # A, B, A, then A as a list; A and B have one length, so a memo keyed by
+    # less than the whole chain hands back the other chain's profile
+    g = comb_graph(10, 4)
+    a, b = (0, 2, 4, 6), (1, 3, 5, 7)
+    m = PathMetric(g)
+    profiles = [m.chain_profile(z) for z in (a, b, a, list(a))]
+    for z, prof in zip((a, b, a, a), profiles):
+        assert prof == PathMetric(g).chain_profile(z)
+    assert profiles[2] is not profiles[0] and profiles[3] is profiles[2]
+    assert m._last_chain is profiles[3]
