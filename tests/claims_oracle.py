@@ -7,8 +7,8 @@ a second precheck: the hypotheses are checked loop by loop through
 ``m.distance``, the geodesic is built before the bound is tested, and a
 mid-chain index in ``claim3_side`` goes through the full ``oracle_claim2``.
 The chain precheck and the nearest-index scan are this module's own
-per-step loops, not the package's, so a fault in the package's step memo
-shows as a disagreement.  Outcomes, reason texts included, must agree with
+per-step loops, not the package's, so a fault in the package's chain
+profile shows as a disagreement.  Outcomes, reason texts included, must agree with
 the package.
 """
 from __future__ import annotations
