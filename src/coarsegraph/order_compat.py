@@ -64,11 +64,11 @@ def _ball_spans(m: PathMetric, order: LinearOrder, e: int, dense):
 
     One tuple per vertex x, rows as int arrays.  They are views of
     ``dense``, the all-pairs matrix, so no row list is memoized beside it;
-    with ``dense`` None they are m's BFS rows.
+    with ``dense`` None each is one BFS, read once and not memoized.
     """
     rank = np.array(order.rank)
     for x in range(m.graph.vertex_count):
-        row = np.asarray(m.row(x)) if dense is None else dense[x]
+        row = np.asarray(m.distances_from_set((x,))) if dense is None else dense[x]
         ball = np.flatnonzero(row <= e)
         ranks = rank[ball]
         yield x, row, ball, int(ranks.min()), int(ranks.max())

@@ -20,11 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph_core import Graph, InputError, InvariantError, PathMetric
-from .hyperspace import hausdorff_distance
-from .selector import BLOCK_ELEMENTS, Holds, TwoSelector, selector_from_table, verify_selector
+from .hyperspace import hausdorff_distance, pair_neighbor_lists
+from .selector import Holds, TwoSelector, selector_from_table, verify_selector
 
 
 class BudgetExceeded(InputError):
@@ -72,38 +70,6 @@ class Infeasible:
     r: int
     nodes: int
     refutation: Refutation
-
-
-def _pair_structure(m: PathMetric):
-    """Pairs (a, b) with a < b, and each pair's sorted neighbour index list.
-
-    The d_H <= 1 neighbours of {a, b} are the pairs {x, y} with x in N[a]
-    and y in N[b] (``hyperspace``), so one pass over the metric's padded
-    neighbourhood table, a block of pairs at a time, gives every list; the
-    pair itself and the x == y entries are dropped.
-    """
-    n = m.graph.vertex_count
-    count = n * (n - 1) // 2
-    a, b = np.triu_indices(n, 1)
-    pairs = list(zip(a.tolist(), b.tolist()))
-    table = m.neighborhoods()
-    width = table.shape[1]
-    nbrs: list[list[int]] = []
-    step = max(1, BLOCK_ELEMENTS // (width * width))
-    for p0 in range(0, count, step):
-        p = np.arange(p0, min(p0 + step, count))
-        x = table[a[p]][:, :, None]
-        y = table[b[p]][:, None, :]
-        lo, hi = np.minimum(x, y), np.maximum(x, y)
-        index = np.where(x == y, count, lo * (2 * n - lo - 3) // 2 + hi - 1).reshape(len(p), -1)
-        index[index == p[:, None]] = count
-        index.sort(axis=1)
-        keep = index < count
-        keep[:, 1:] &= index[:, 1:] != index[:, :-1]
-        flat = index[keep].tolist()
-        ends = np.cumsum(keep.sum(axis=1)).tolist()
-        nbrs.extend(flat[s:e] for s, e in zip([0, *ends], ends))
-    return pairs, nbrs
 
 
 def _search_at(m: PathMetric, pairs, nbrs, order, r: int, budget: int):
@@ -224,7 +190,7 @@ def min_modulus_search(
     each r.
     """
     m = PathMetric(g)
-    pairs, nbrs = _pair_structure(m)
+    pairs, nbrs = pair_neighbor_lists(m)
     order = sorted(range(len(pairs)), key=lambda i: (-len(nbrs[i]), pairs[i]))
     outcomes: list[Feasible | Infeasible] = []
     for r in range(r_cap + 1):

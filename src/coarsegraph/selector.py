@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import InputError, PathMetric
-from .hyperspace import hausdorff_distance, vpair
+from .hyperspace import hausdorff_distance, pair_blocks, pair_index, vpair
 
 
 class NonInjectiveCoordinate(ValueError):
@@ -21,9 +21,6 @@ class NonInjectiveCoordinate(ValueError):
 
 class InvalidSelector(InputError):
     pass
-
-
-BLOCK_ELEMENTS = 1 << 16  # (pair, slot, slot) entries per block of the scan
 
 
 @dataclass(frozen=True)
@@ -155,8 +152,7 @@ def _chooser(f: TwoSelector, n: int):
 
     def choose(x, y):
         lo, hi = np.minimum(x, y), np.maximum(x, y)
-        # position of the pair (lo, hi) in the (a, b) order of the table
-        return np.where(takes_low[lo * (2 * n - lo - 3) // 2 + hi - 1], lo, hi)
+        return np.where(takes_low[pair_index(lo, hi, n)], lo, hi)
 
     return choose
 
@@ -177,28 +173,16 @@ def _row_jumps(m: PathMetric, a, b, x, fa, fb):
 def _jump_blocks(m: PathMetric, f: TwoSelector):
     """d(f(A), f(B)) over the d_H <= 1 pair neighbourhood, a block at a time.
 
-    Walks the scan order of ``hyperspace`` over blocks of about
-    BLOCK_ELEMENTS (pair, slot, slot) entries and yields (a, b, X, Y, jumps):
-    the block's pairs {a[i] < b[i]}, their neighbourhoods X[:, i] = N[a[i]]
-    and Y[:, i] = N[b[i]], and jumps[i, s, t] = d(f({a, b}), f({x, y})) with
-    x = X[s, i] and y = Y[t, i], or -1 where x == y.  The arrays are held
-    slot-major, so the arithmetic runs along the block's pairs; ``jumps`` is
-    a view in scan order.  Distances come from the dense matrix when the
-    metric has one, else from ``_row_jumps``.
+    Reads the blocks of ``hyperspace.pair_blocks`` and yields (a, b, X, Y,
+    jumps), with jumps[i, s, t] = d(f({a, b}), f({x, y})) for x = X[s, i]
+    and y = Y[t, i], or -1 where x == y; ``jumps`` is a view in scan order.
+    Distances come from the dense matrix when the metric has one, else from
+    ``_row_jumps``.
     """
     n = m.graph.vertex_count
     dist = m.dense_matrix()
     choose = _chooser(f, n)
-    nbr = m.neighborhoods().T.copy()
-    width = nbr.shape[0]
-    v = np.arange(n)
-    starts = v * (2 * n - v - 1) // 2  # index of pair (v, v + 1)
-    step = max(1, BLOCK_ELEMENTS // (width * width))
-    for p0 in range(0, n * (n - 1) // 2, step):
-        p = np.arange(p0, min(p0 + step, n * (n - 1) // 2))
-        a = np.searchsorted(starts, p, side="right") - 1
-        b = p - starts[a] + a + 1
-        X, Y = nbr.take(a, axis=1), nbr.take(b, axis=1)
+    for _, a, b, X, Y in pair_blocks(m):
         x, y = X[:, None, :], Y[None, :, :]
         fa = choose(a, b)
         fb = choose(x, y)

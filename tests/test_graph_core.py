@@ -15,7 +15,12 @@ from coarsegraph import (
     geodesic_between,
 )
 from coarsegraph.generators import comb_graph, grid_graph, path_graph, tripod_graph
-from coarsegraph.order_compat import LinearOrder, _violations_at, min_compat_radius
+from coarsegraph.order_compat import (
+    LinearOrder,
+    _violations_at,
+    is_interval_entourage,
+    min_compat_radius,
+)
 
 from conftest import floyd_warshall, validate_geodesic
 
@@ -201,6 +206,12 @@ def test_dense_matrix_keeps_no_row_lists(g):
     min_compat_radius(compat, order, 1, cap=1)
     _violations_at(compat, order, 1, 0)
     assert compat._rows == {} and compat._dense is not None
+    # order interval reads each row once from its own BFS and keeps none;
+    # at e = n every ball is the whole graph, so it scans every vertex
+    interval = PathMetric(g)
+    for e in (1, n):
+        is_interval_entourage(interval, order, e)
+    assert interval._rows == {} and interval._dense is None
     for u in range(n):
         row = m.row(u)
         assert row == oracle[u] and all(type(d) is int for d in row)

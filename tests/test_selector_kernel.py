@@ -4,7 +4,8 @@
 same r and attaining witness, and ``verify_selector`` the same verdict and
 first witness at every r from -1 to the modulus, for coordinate, order and
 table selectors, on both sides of the dense cap and across block
-boundaries.
+boundaries; the search's neighbour lists, read from the same blocks, must
+be the oracle's at every block size too.
 """
 from __future__ import annotations
 
@@ -13,10 +14,9 @@ from unittest import mock
 
 import pytest
 
-from coarsegraph import PathMetric, selector
+from coarsegraph import PathMetric, hyperspace
 from coarsegraph.generators import comb_graph, cycle_graph, grid_graph, path_graph, tripod_graph
 from coarsegraph.order_compat import LinearOrder
-from coarsegraph.search import _pair_structure
 from coarsegraph.selector import min_selector, modulus, order_to_selector, verify_selector
 from conftest import random_tournament
 from selector_oracle import oracle_modulus, oracle_pair_neighbors, oracle_verify
@@ -45,14 +45,17 @@ def _selectors(g, rng):
         yield f"table{k}", random_tournament(g, rng)
 
 
+BLOCKS = [1, 7, 40, hyperspace.BLOCK_ELEMENTS]
+
+
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 @pytest.mark.parametrize("dense_cap", [4096, 0])
-@pytest.mark.parametrize("block", [1, 7, 40, selector.BLOCK_ELEMENTS])
+@pytest.mark.parametrize("block", BLOCKS)
 def test_kernel_matches_oracle(name, dense_cap, block):
     g = GRAPHS[name]
     rng = random.Random(f"{name}:{dense_cap}:{block}")
     oracle_metric = PathMetric(g)
-    with mock.patch.object(selector, "BLOCK_ELEMENTS", block):
+    with mock.patch.object(hyperspace, "BLOCK_ELEMENTS", block):
         for label, f in _selectors(g, rng):
             m = PathMetric(g, dense_cap=dense_cap)
             expected = oracle_modulus(oracle_metric, f)
@@ -65,7 +68,10 @@ def test_kernel_matches_oracle(name, dense_cap, block):
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_search_neighbour_lists_unchanged(name):
     m = PathMetric(GRAPHS[name])
-    pairs, nbrs = _pair_structure(m)
+    n = m.graph.vertex_count
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     index = {p: i for i, p in enumerate(pairs)}
-    for p, got in zip(pairs, nbrs):
-        assert got == sorted(index[q] for q in oracle_pair_neighbors(m, p))
+    expected = [sorted(index[q] for q in oracle_pair_neighbors(m, p)) for p in pairs]
+    for block in BLOCKS:  # 1 and 7 split the pairs of every graph over many blocks
+        with mock.patch.object(hyperspace, "BLOCK_ELEMENTS", block):
+            assert hyperspace.pair_neighbor_lists(m) == (pairs, expected), block
