@@ -490,10 +490,8 @@ def cmd_order_compat(args):
     g = load_graph(args)
     m = PathMetric(g)
     order = _load_order(args, args.order, g.vertex_count)
-    order_compat.check_cap(args.e, args.cap)
-    # the modulus builds the all-pairs matrix, so the order scans read their rows from it
-    sel_r = selector_mod.modulus(m, selector_mod.order_to_selector(order)).r
     report = order_compat.min_compat_radius(m, order, args.e, cap=args.cap)
+    sel_r = selector_mod.modulus(m, selector_mod.order_to_selector(order)).r
     payload = {"e": report.e, "order_selector_modulus": sel_r}
     if isinstance(report.result, order_compat.MinimalG):
         payload["result"] = {"g": report.result.g}

@@ -92,7 +92,7 @@ def _count(total, step: Fraction) -> int:
     return int(ratio)
 
 
-def _check_cap(count: int) -> None:
+def _check_sample_size(count: int) -> None:
     if count > SAMPLE_CAP:
         raise InputError(
             f"the sample would hold {number_text(count)} points, above the cap of {SAMPLE_CAP}"
@@ -113,7 +113,7 @@ def sample_space(shape, step) -> FiniteMetricSpace:
     kind = shape[0]
     if kind in ("segment", "circle"):
         count = _count(shape[1], step) + (1 if kind == "segment" else 0)
-        _check_cap(count)
+        _check_sample_size(count)
         pts = [step * k for k in range(count)]
         idx = np.arange(len(pts))
         hops = abs(idx[:, None] - idx[None, :])
@@ -122,7 +122,7 @@ def sample_space(shape, step) -> FiniteMetricSpace:
     elif kind == "rectangle":
         w = _count(shape[1], step) + 1
         h = _count(shape[2], step) + 1
-        _check_cap(max(w, 0) * max(h, 0))
+        _check_sample_size(max(w, 0) * max(h, 0))
         xs = [step * i for i in range(w)]
         ys = [step * j for j in range(h)]
         pts = [(x, y) for x in xs for y in ys]
@@ -184,9 +184,8 @@ def certify_net(space: FiniteMetricSpace, net: tuple[int, ...], graph: Graph) ->
     cols = list(net)
     largeness = space.units[:, cols].min(axis=1).max()
     k = len(net)
-    metric = PathMetric(graph)
     a, b = np.triu_indices(k, 1)
-    graph_d = metric.distance_block(list(range(k)), list(range(k)))[a, b]
+    graph_d = PathMetric(graph).dense_matrix()[a, b]
     ambient = space.units[np.ix_(cols, cols)][a, b]
     far = np.full(k, -1, dtype=ambient.dtype)  # -1: no pair at this g
     np.maximum.at(far, graph_d, ambient)

@@ -33,6 +33,8 @@ def grid_graph(width: int, height: int) -> Graph:
 
 def tripod_graph(a: int, b: int, c: int) -> Graph:
     """Center vertex 0 with three pendant arms of the given lengths."""
+    if min(a, b, c) < 0:
+        raise ValueError("tripod arm lengths must be nonnegative")
     edges = []
     nxt = 1
     for arm in (a, b, c):
@@ -48,6 +50,8 @@ def comb_graph(spine: int, tooth: int) -> Graph:
     """Path of ``spine`` vertices with a ``tooth``-vertex path hanging off its middle."""
     if spine < 2:
         raise ValueError("comb spine needs at least two vertices")
+    if tooth < 0:
+        raise ValueError("comb tooth length must be nonnegative")
     edges = [(i, i + 1) for i in range(spine - 1)]
     prev = spine // 2
     for k in range(tooth):

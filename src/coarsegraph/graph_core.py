@@ -246,19 +246,18 @@ class PathMetric:
     """Shortest-path distance oracle for a Graph.
 
     Distance rows are materialized lazily, one BFS per queried source, and
-    memoized.  A dense all-pairs matrix is built on demand for graphs with
-    at most ``dense_cap`` vertices; larger graphs stay row-based.  Once the
-    matrix exists, a row is read from it, so no distance is computed twice,
-    and a single distance outside the row memo is read from the matrix
-    without memoizing a row beside it.  ``chain_profile`` remembers the
-    last chain it was asked about, so callers that check one chain against
-    many probes build its profile once.  The padded neighbourhood table of
-    every vertex is built once, by ``neighborhoods``.
+    memoized.  The all-pairs matrix, which every all-pairs scan reads, is
+    built on demand at any size.  Once it exists, a row is read from it, so
+    no distance is computed twice, and a single distance outside the row
+    memo is read from the matrix without memoizing a row beside it.
+    ``chain_profile`` remembers the last chain it was asked about, so
+    callers that check one chain against many probes build its profile
+    once.  The padded neighbourhood table of every vertex is built once, by
+    ``neighborhoods``.
     """
 
-    def __init__(self, graph: Graph, dense_cap: int = 4096):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.dense_cap = dense_cap
         self._rows: dict[int, list[int]] = {}
         self._dense = None
         self._diameter = None
@@ -344,8 +343,8 @@ class PathMetric:
             self._diameter = max(ecc for _, ecc in self.eccentricities())
         return self._diameter
 
-    def dense_matrix(self):
-        """All-pairs distance matrix as int32 ndarray, or None above the cap.
+    def dense_matrix(self) -> np.ndarray:
+        """All-pairs distance matrix as an n x n int32 ndarray, 4n^2 bytes.
 
         Memoized rows are copied in; the other rows go straight into the
         matrix, not the memo.  They come from ``_batched_bfs`` when the graph
@@ -353,10 +352,8 @@ class PathMetric:
         neighbourhood table at most doubles a level's work (n * width <=
         2 * (n + 2m)); otherwise from one deque BFS per row.
         """
-        g = self.graph
-        if g.vertex_count > self.dense_cap:
-            return None
         if self._dense is None:
+            g = self.graph
             n = g.vertex_count
             mat = np.full((n, n), -1, dtype=np.int32)
             for v, row in self._rows.items():

@@ -96,12 +96,6 @@ def _violations_at(m: PathMetric, order: LinearOrder, e: int, g: int, limit=16):
     return out
 
 
-def check_cap(e: int, cap: int | None) -> None:
-    """Refuse a cap below e, before any distance is computed."""
-    if cap is not None and cap < e:
-        raise InputError("cap must be at least e")
-
-
 def min_compat_radius(
     m: PathMetric, order: LinearOrder, e: int, cap: int | None = None
 ) -> CompatibilityReport:
@@ -111,9 +105,11 @@ def min_compat_radius(
     e-ball of x, whatever g is; it breaks the condition at g iff d(x, y) > g.
     So g is max(e, the largest d over unsafe pairs), found in one scan; cap
     defaults to max(e, diameter), and past it the result is NotFound with the
-    violating triples at the cap.
+    violating triples at the cap.  A cap below e is refused before any
+    distance is computed.
     """
-    check_cap(e, cap)
+    if cap is not None and cap < e:
+        raise InputError("cap must be at least e")
     dense = m.dense_matrix()  # first, so the diameter reads it too
     if cap is None:
         cap = max(e, m.diameter())

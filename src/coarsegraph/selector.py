@@ -157,39 +157,20 @@ def _chooser(f: TwoSelector, n: int):
     return choose
 
 
-def _row_jumps(m: PathMetric, a, b, x, fa, fb):
-    """d(fa, fb) for a block, read from the BFS rows of N[a] alone.
-
-    With fa = a the jump is a distance from a.  With fa = b it is d(x, b)
-    for x in N[a] when fb = x, or d(b, y) = [b != y] for y in N[b] when
-    fb = y.
-    """
-    rows = np.unique(x)
-    dist = m.distance_block(rows.tolist(), np.arange(m.graph.vertex_count))
-    from_b = np.where(fb == x, dist[np.searchsorted(rows, x), b], fb != b)
-    return np.where(fa == a, dist[np.searchsorted(rows, a), fb], from_b)
-
-
 def _jump_blocks(m: PathMetric, f: TwoSelector):
     """d(f(A), f(B)) over the d_H <= 1 pair neighbourhood, a block at a time.
 
     Reads the blocks of ``hyperspace.pair_blocks`` and yields (a, b, X, Y,
     jumps), with jumps[i, s, t] = d(f({a, b}), f({x, y})) for x = X[s, i]
     and y = Y[t, i], or -1 where x == y; ``jumps`` is a view in scan order.
-    Distances come from the dense matrix when the metric has one, else from
-    ``_row_jumps``.
+    Each block is one gather from the all-pairs matrix.
     """
     n = m.graph.vertex_count
-    dist = m.dense_matrix()
+    dist = m.dense_matrix().ravel()
     choose = _chooser(f, n)
     for _, a, b, X, Y in pair_blocks(m):
         x, y = X[:, None, :], Y[None, :, :]
-        fa = choose(a, b)
-        fb = choose(x, y)
-        if dist is None:
-            jumps = _row_jumps(m, a, b, x, fa, fb)
-        else:
-            jumps = dist.ravel().take(fa * n + fb)
+        jumps = dist.take(choose(a, b) * n + choose(x, y))
         yield a, b, X, Y, np.where(x == y, -1, jumps).transpose(2, 0, 1)
 
 

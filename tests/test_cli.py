@@ -537,11 +537,15 @@ def test_qi_verify_takes_integers_only(capsys, tmp_path, coordinate):
             ("reason", "empty chain"),
         ),
         (["metric", "--graph", b"0 1000000\n", "--pairs", "0,1"], 2, "cannot connect"),
+        # a negative size is refused by name, not built into a smaller graph
+        (["metric", "--generate", "tripod:-1,2,2", "--pairs", "0,1"], 2, "arm lengths must be nonnegative"),
+        (["metric", "--generate", "tripod:-5,-5,-5", "--pairs", "0,0"], 2, "arm lengths must be nonnegative"),
+        (["metric", "--generate", "comb:3,-1", "--pairs", "0,1"], 2, "tooth length must be nonnegative"),
     ],
     ids=[
         "pairs-one", "pairs-three", "compat-negative-e", "interval-negative-e", "cap-below-e",
         "empty-set", "non-utf8-graph", "out-missing-dir", "default-cap-is-e", "c3-empty-chain",
-        "max-id-beyond-edges",
+        "max-id-beyond-edges", "tripod-negative-arm", "tripod-negative-arms", "comb-negative-tooth",
     ],
 )
 def test_inputs_that_raised_are_json_reports(capsys, tmp_path, argv, code, check):
@@ -681,7 +685,7 @@ def test_error_texts_print_every_digit(capsys, argv, error):
 
 
 def test_a_cap_below_e_is_refused_before_any_distance(capsys, monkeypatch):
-    # order compat builds the all-pairs matrix through the modulus; a bad cap never gets there
+    # order compat builds the all-pairs matrix; a bad cap never gets there
     from coarsegraph import graph_core
 
     def no_matrix(self):

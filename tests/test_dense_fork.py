@@ -1,11 +1,13 @@
 """Both sides of the dense-matrix fork give the same answers.
 
 ``PathMetric`` reads distances from the all-pairs matrix once it is built
-(at most ``dense_cap`` vertices) and from memoized BFS rows otherwise.
-Every layer that reads the metric must return equal values either way:
-the selector modulus and its verdicts, line extraction, certificate
-tightening and verification, the order scan and the claims, on random
-connected graphs with minimum and random-tournament selectors.
+and from memoized BFS rows before.  The pointwise layers (the claims,
+certificate tightening and verification, the diameter) build no matrix, so
+on a fresh metric they read rows; they must answer as they do on a metric
+whose matrix was built first.  The all-pairs scans that then build the
+matrix (the selector modulus and its verdicts, line extraction, the order
+scan) must answer as on the other metric too, on random connected graphs
+with minimum and random-tournament selectors.
 """
 from __future__ import annotations
 
@@ -61,11 +63,34 @@ def _walk(m: PathMetric, rng: random.Random, p: int, length: int):
     return zs
 
 
-def _answers(m: PathMetric, f, seed: int) -> list:
-    """Every layer's answer on one metric, in a fixed order of calls."""
-    rng = random.Random(seed)
-    g = m.graph
-    n = g.vertex_count
+def _pointwise_answers(m: PathMetric, f, rng: random.Random) -> list:
+    """The answers of the layers that build no matrix, in a fixed order of calls."""
+    n = m.graph.vertex_count
+    out = []
+    coord = {v: rng.randrange(-n, n) for v in rng.sample(range(n), rng.randrange(1, n + 1))}
+    cert = tighten(m, coord)
+    out.append(cert)
+    out.append(verify_qi(m, cert))
+    for tampered in (
+        QuasiIsometryCert(coord, 1, cert.C, cert.D),
+        QuasiIsometryCert(coord, cert.lam, cert.C, max(cert.D - 1, 0)),
+    ):
+        out.append(verify_qi(m, tampered))
+    for _ in range(6):
+        p = rng.randrange(1, 4)
+        claimed = rng.randrange(0, 3)
+        zs = _walk(m, rng, p, rng.randrange(1, 14))
+        v = rng.randrange(n)
+        out.append(claim2_check(m, f, claimed, ClaimConfig(v=v, z=tuple(zs), p=p)))
+        out.append(claim3_side(m, f, claimed, zs, v, p))
+        out.append(claim3_side(m, f, claimed, zs, v, p, q=rng.randrange(0, 4)))
+    out.append(m.diameter())
+    return out
+
+
+def _scan_answers(m: PathMetric, f, rng: random.Random) -> list:
+    """The answers of the all-pairs scans, in a fixed order of calls."""
+    n = m.graph.vertex_count
     out = []
     r = modulus(m, f).r
     out.append(modulus(m, f))
@@ -76,31 +101,13 @@ def _answers(m: PathMetric, f, seed: int) -> list:
     out.append(extract_line(m, f, r=1, verify_asserted=False))
     out.append(extract_line(m, f, r=0))
     if isinstance(line, (Ray, Line)):
-        coord = dict(line.cert.coord)
-    else:
-        coord = {v: rng.randrange(-n, n) for v in rng.sample(range(n), rng.randrange(1, n + 1))}
-    cert = tighten(m, coord)
-    out.append(cert)
-    out.append(verify_qi(m, cert))
-    for tampered in (
-        QuasiIsometryCert(coord, 1, cert.C, cert.D),
-        QuasiIsometryCert(coord, cert.lam, cert.C, max(cert.D - 1, 0)),
-    ):
-        out.append(verify_qi(m, tampered))
+        out.append(verify_qi(m, tighten(m, dict(line.cert.coord))))
     ranking = list(range(n))
     rng.shuffle(ranking)
     order = LinearOrder.from_ranking(ranking)
     for e in range(3):
         out.append(min_compat_radius(m, order, e))
         out.append(min_compat_radius(m, order, e, cap=e + 1))
-    for _ in range(6):
-        p = rng.randrange(1, 4)
-        claimed = rng.randrange(0, 3)
-        zs = _walk(m, rng, p, rng.randrange(1, 14))
-        v = rng.randrange(n)
-        out.append(claim2_check(m, f, claimed, ClaimConfig(v=v, z=tuple(zs), p=p)))
-        out.append(claim3_side(m, f, claimed, zs, v, p))
-        out.append(claim3_side(m, f, claimed, zs, v, p, q=rng.randrange(0, 4)))
     return out
 
 
@@ -115,6 +122,9 @@ def test_matrix_and_rows_give_equal_answers(seed):
     for k, f in enumerate(selectors):
         dense = PathMetric(g)
         dense.dense_matrix()
-        rows = PathMetric(g, dense_cap=0)
-        assert _answers(dense, f, seed) == _answers(rows, f, seed), k
-        assert dense._dense is not None and rows.dense_matrix() is None
+        rows = PathMetric(g)
+        dense_rng, rows_rng = random.Random(seed), random.Random(seed)
+        assert _pointwise_answers(dense, f, dense_rng) == _pointwise_answers(rows, f, rows_rng), k
+        assert rows._dense is None and rows._rows
+        assert _scan_answers(dense, f, dense_rng) == _scan_answers(rows, f, rows_rng), k
+        assert rows._dense is not None

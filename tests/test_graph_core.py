@@ -9,10 +9,14 @@ from hypothesis import given, settings, strategies as st
 from coarsegraph import (
     DisconnectedGraph,
     GraphError,
+    Holds,
     PathMetric,
     SelfLoop,
     build_graph,
     geodesic_between,
+    min_selector,
+    modulus,
+    verify_selector,
 )
 from coarsegraph.generators import comb_graph, grid_graph, path_graph, tripod_graph
 from coarsegraph.order_compat import (
@@ -206,6 +210,11 @@ def test_dense_matrix_keeps_no_row_lists(g):
     min_compat_radius(compat, order, 1, cap=1)
     _violations_at(compat, order, 1, 0)
     assert compat._rows == {} and compat._dense is not None
+    # so do the selector modulus and a verify that holds, which scans every pair
+    f = min_selector(list(range(n)))
+    scan = PathMetric(g)
+    assert isinstance(verify_selector(scan, f, modulus(scan, f).r), Holds)
+    assert scan._rows == {} and scan._dense is not None
     # order interval reads each row once from its own BFS and keeps none;
     # at e = n every ball is the whole graph, so it scans every vertex
     interval = PathMetric(g)
@@ -264,15 +273,16 @@ def test_build_graph_components_match_networkx(drawn):
 
 
 @settings(max_examples=40, deadline=None)
-@given(connected_graphs(), st.sampled_from([0, 4096]), st.data())
-def test_max_step_matches_a_step_scan(g, dense_cap, data):
+@given(connected_graphs(), st.booleans(), st.data())
+def test_max_step_matches_a_step_scan(g, matrix_first, data):
     # chains asked about in turn, A, B, A first, as lists or tuples: a memo
-    # that kept a stale answer gives the other chain's step; cap 0 reads
-    # BFS rows, the default cap the matrix
+    # that kept a stale answer gives the other chain's step; the steps come
+    # from the matrix when it was built first, else from BFS rows
     n = g.vertex_count
     oracle = floyd_warshall(n, g.edge_list())
-    m = PathMetric(g, dense_cap=dense_cap)
-    m.dense_matrix()
+    m = PathMetric(g)
+    if matrix_first:
+        m.dense_matrix()
     chains = data.draw(
         st.lists(st.lists(st.integers(0, n - 1), max_size=8), min_size=2, max_size=4, unique_by=tuple)
     )

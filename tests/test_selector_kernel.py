@@ -3,9 +3,9 @@
 ``selector_oracle`` holds the pair-by-pair scans; ``modulus`` must give the
 same r and attaining witness, and ``verify_selector`` the same verdict and
 first witness at every r from -1 to the modulus, for coordinate, order and
-table selectors, on both sides of the dense cap and across block
-boundaries; the search's neighbour lists, read from the same blocks, must
-be the oracle's at every block size too.
+table selectors, with and without memoized rows copied into the all-pairs
+matrix and across block boundaries; the search's neighbour lists, read from
+the same blocks, must be the oracle's at every block size too.
 """
 from __future__ import annotations
 
@@ -49,20 +49,26 @@ BLOCKS = [1, 7, 40, hyperspace.BLOCK_ELEMENTS]
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
-@pytest.mark.parametrize("dense_cap", [4096, 0])
+# at most this many rows, every third vertex's, are read through ``row``
+# before the scan; the matrix build copies them in and computes the others
+# (4096 exceeds every graph here)
+@pytest.mark.parametrize("rows_first", [4096, 0])
 @pytest.mark.parametrize("block", BLOCKS)
-def test_kernel_matches_oracle(name, dense_cap, block):
+def test_kernel_matches_oracle(name, rows_first, block):
     g = GRAPHS[name]
-    rng = random.Random(f"{name}:{dense_cap}:{block}")
+    rng = random.Random(f"{name}:{rows_first}:{block}")
     oracle_metric = PathMetric(g)
+    memo = list(range(0, g.vertex_count, 3))[:rows_first]
     with mock.patch.object(hyperspace, "BLOCK_ELEMENTS", block):
         for label, f in _selectors(g, rng):
-            m = PathMetric(g, dense_cap=dense_cap)
+            m = PathMetric(g)
+            for v in memo:
+                m.row(v)
             expected = oracle_modulus(oracle_metric, f)
             assert modulus(m, f) == expected, label
             for r in range(-1, expected.r + 1):
                 assert verify_selector(m, f, r) == oracle_verify(oracle_metric, f, r), (label, r)
-            assert (m.dense_matrix() is None) == (dense_cap == 0)
+            assert sorted(m._rows) == memo  # the scans memoize no row
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
