@@ -146,14 +146,15 @@ def neighborhood_table(g: Graph, vertices) -> np.ndarray:
     return np.array([row + row[-1:] * (width - len(row)) for row in rows], dtype=np.int64)
 
 
-def _batched_bfs(flat: np.ndarray, table: np.ndarray, sources: np.ndarray) -> None:
-    """Distance rows of ``sources`` written into a flat n*n int32 matrix.
+def _batched_bfs(flat: np.ndarray, table: np.ndarray, sources: np.ndarray, rows: np.ndarray) -> None:
+    """Distance rows of ``sources`` written into a flat int32 buffer of n-wide rows.
 
     Multi-source BFS (Then et al., VLDB 2014): one level loop serves a chunk
-    of k sources at once.  Keys are flat indices s*n + v, and the rows of
-    ``sources`` hold -1 on entry.  Each level expands its frontier through
-    the closed-neighbourhood ``table`` and keeps the keys still at -1; a
-    padded slot or v itself is always visited already.  The kept keys are
+    of k sources at once; row ``rows[i]`` of ``flat`` gets the distances
+    from ``sources[i]``.  Keys are flat indices row*n + v, and those rows
+    hold -1 on entry.  Each level expands its frontier through the
+    closed-neighbourhood ``table`` and keeps the keys still at -1; a padded
+    slot or v itself is always visited already.  The kept keys are
     deduplicated by writing distinct negative marks at them and keeping the
     keys that read their own mark back.  A level expands at most k*n*width
     entries, which is at most max(BATCH_ENTRIES, n*width), and allocates no
@@ -162,7 +163,7 @@ def _batched_bfs(flat: np.ndarray, table: np.ndarray, sources: np.ndarray) -> No
     n, width = table.shape
     k = max(1, min(n, BATCH_ENTRIES // (n * width)))
     for c in range(0, len(sources), k):
-        keys = sources[c : c + k] * (n + 1)  # the diagonal entries s*n + s
+        keys = rows[c : c + k] * n + sources[c : c + k]
         flat[keys] = 0
         level = 0
         while keys.size:
@@ -343,41 +344,53 @@ class PathMetric:
             self._diameter = max(ecc for _, ecc in self.eccentricities())
         return self._diameter
 
+    def _distance_rows(self, sources) -> np.ndarray:
+        """int32 distance rows of ``sources``, one per source; none is memoized.
+
+        Memoized rows are copied in.  The others come from ``_batched_bfs``
+        when the graph has at least BATCH_MIN_VERTICES vertices and padding
+        the neighbourhood table at most doubles a level's work
+        (n * width <= 2 * (n + 2m)); otherwise from one deque BFS per row.
+        """
+        g = self.graph
+        n = g.vertex_count
+        out = np.full((len(sources), n), -1, dtype=np.int32)
+        rows, todo = [], []
+        for i, s in enumerate(sources):
+            memo = self._rows.get(s)
+            if memo is None:
+                rows.append(i)
+                todo.append(s)
+            else:
+                out[i] = memo
+        degrees = list(map(len, g.adjacency))
+        if n >= BATCH_MIN_VERTICES and n * (max(degrees) + 1) <= 2 * (n + sum(degrees)):
+            rows, todo = np.array(rows, dtype=np.int64), np.array(todo, dtype=np.int64)
+            _batched_bfs(out.reshape(-1), self.neighborhoods(), todo, rows)
+        else:
+            for i, s in zip(rows, todo):
+                out[i] = self._bfs_row(s)
+        return out
+
     def dense_matrix(self) -> np.ndarray:
         """All-pairs distance matrix as an n x n int32 ndarray, 4n^2 bytes.
 
-        Memoized rows are copied in; the other rows go straight into the
-        matrix, not the memo.  They come from ``_batched_bfs`` when the graph
-        has at least BATCH_MIN_VERTICES vertices and padding the
-        neighbourhood table at most doubles a level's work (n * width <=
-        2 * (n + 2m)); otherwise from one deque BFS per row.
+        The rows of every vertex by ``_distance_rows``: the memo is copied
+        in, and the other rows go straight into the matrix, not the memo.
         """
         if self._dense is None:
-            g = self.graph
-            n = g.vertex_count
-            mat = np.full((n, n), -1, dtype=np.int32)
-            for v, row in self._rows.items():
-                mat[v] = row
-            todo = [v for v in range(n) if v not in self._rows]
-            degrees = list(map(len, g.adjacency))
-            if n >= BATCH_MIN_VERTICES and n * (max(degrees) + 1) <= 2 * (n + sum(degrees)):
-                _batched_bfs(mat.reshape(-1), self.neighborhoods(), np.array(todo, dtype=np.int64))
-            else:
-                for v in todo:
-                    mat[v] = self._bfs_row(v)
-            self._dense = mat
+            self._dense = self._distance_rows(range(self.graph.vertex_count))
         return self._dense
 
     def distance_block(self, sources, targets) -> np.ndarray:
-        """int64 array of d(s, t): one row per source, one column per target.
+        """int32 array of d(s, t): one row per source, one column per target.
 
         Reads the dense matrix when it is already built; otherwise the
-        sources' memoized BFS rows.
+        sources' rows by ``_distance_rows``, which memoizes none.
         """
         if self._dense is not None:
-            return self._dense[np.ix_(sources, targets)].astype(np.int64)
-        rows = np.array([self.row(s) for s in sources], dtype=np.int64)
-        return rows[:, targets]
+            return self._dense[np.ix_(sources, targets)]
+        return self._distance_rows(sources)[:, targets]
 
     def distances_from_set(self, sources) -> list[int]:
         """Multi-source BFS: distance from each vertex to the nearest source."""

@@ -30,8 +30,8 @@ matrix in the package.
 Memory.  Pairs are visited in blocks of rows of the sorted domain S: a block
 is some rows of S against the later columns of S, about BLOCK_ELEMENTS
 distances, and the kernel holds a few arrays of that size at a time however
-large S is.  Pairs inside a block are scanned in row-major order, which is
-the ascending (u, v) order of the scan.
+large S is, and memoizes no distance row.  Pairs inside a block are scanned
+in row-major order, which is the ascending (u, v) order of the scan.
 """
 from __future__ import annotations
 
@@ -42,6 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import graph_core
 from .graph_core import InputError, PathMetric
 
 BLOCK_ELEMENTS = 1 << 16  # distances gathered per block of rows
@@ -119,19 +120,25 @@ def _pair_blocks(m: PathMetric, S: list[int], values: list[int], bound: int):
     Yields (i0, d, delta, pairs) for rows i0, i0 + 1, ... of S against the
     columns i0 + 1 .. len(S) - 1; ``pairs`` marks the entries whose column
     comes after their row.  Entries are int64 when the caller's products
-    stay within ``bound`` <= 2**62, and Python ints otherwise.
+    stay within ``bound`` <= 2**62, and Python ints otherwise.  Blocks are
+    sliced from chunks of rows of at most ``graph_core.BATCH_ENTRIES``
+    distances, one ``distance_block`` (one batched BFS) per chunk.
     """
-    k = len(S)
+    k, n = len(S), m.graph.vertex_count
     dtype = int_dtype(bound)
     low = min(values)
     c = np.array([x - low for x in values], dtype=dtype)
-    step = max(1, BLOCK_ELEMENTS // max(k, m.graph.vertex_count))
-    for i0 in range(0, k - 1, step):
-        i1 = min(i0 + step, k - 1)
-        d = m.distance_block(S[i0:i1], S[i0 + 1 :]).astype(dtype, copy=False)
-        delta = abs(c[i0:i1, None] - c[None, i0 + 1 :])
-        pairs = np.arange(k - i0 - 1)[None, :] >= np.arange(i1 - i0)[:, None]
-        yield i0, d, delta, pairs
+    step = max(1, BLOCK_ELEMENTS // n)
+    chunk = max(1, graph_core.BATCH_ENTRIES // n)
+    for j0 in range(0, k - 1, chunk):
+        j1 = min(j0 + chunk, k - 1)
+        rows = m.distance_block(S[j0:j1], S[j0 + 1 :])
+        for i0 in range(j0, j1, step):
+            i1 = min(i0 + step, j1)
+            d = rows[i0 - j0 : i1 - j0, i0 - j0 :].astype(dtype, copy=False)
+            delta = abs(c[i0:i1, None] - c[None, i0 + 1 :])
+            pairs = np.arange(k - i0 - 1)[None, :] >= np.arange(i1 - i0)[:, None]
+            yield i0, d, delta, pairs
 
 
 def _argmax_ratio(p: np.ndarray, q: np.ndarray) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import InputError, PathMetric
-from .hyperspace import hausdorff_distance, pair_blocks, pair_index, vpair
+from .hyperspace import hausdorff_distance, pair_blocks, vpair
 
 
 class NonInjectiveCoordinate(ValueError):
@@ -50,7 +50,7 @@ class TwoSelector:
     scales to large graphs; tables are what random tournaments and search
     assignments produce.  ``modulus`` and ``verify_selector`` run the same
     vectorised scan on both: a comparison of coordinate ranks, or a lookup
-    in a pair-indexed choice array built from the table.
+    in an n x n choice array built from the table.
     """
 
     __slots__ = ("coord", "table")
@@ -137,48 +137,63 @@ def lift_bornologous(coord) -> BornologousSelector:
 
 
 def _chooser(f: TwoSelector, n: int):
-    """f as a vectorised choice: arrays x, y with x != y to the chosen elements."""
+    """f as vectorised choices (choose, unchosen).
+
+    choose(x, y) maps arrays x, y with x != y to the chosen elements.  On a
+    block of ``pair_blocks``, unchosen(X, Y) marks each X[s, i] that f
+    chooses from no {X[s, i], Y[t, i]} with x != y, and each such Y[t, i].
+    """
     if f.coord is not None:
         # ranks order the vertices as the coordinates do, whatever their type
         rank = np.empty(n, dtype=np.int64)
         rank[sorted(range(n), key=f.coord.__getitem__)] = np.arange(n)
-        return lambda x, y: np.where(rank[x] < rank[y], x, y)
-    table = f.table
-    takes_low = np.fromiter(
-        (table[(a, b)] == a for a in range(n) for b in range(a + 1, n)),
-        dtype=bool,
-        count=n * (n - 1) // 2,
-    )
 
-    def choose(x, y):
-        lo, hi = np.minimum(x, y), np.maximum(x, y)
-        return np.where(takes_low[pair_index(lo, hi, n)], lo, hi)
+        def unchosen(X, Y):
+            # ranks are distinct, so rank[x] < rank[y] already means x != y
+            rx, ry = rank.take(X), rank.take(Y)
+            return rx >= ry.max(axis=0), ry >= rx.max(axis=0)
 
-    return choose
+        return (lambda x, y: np.where(rank[x] < rank[y], x, y)), unchosen
+    # picks[x * n + y] is 1 when f chooses x from {x, y}, 0 when it chooses y, -1 if x == y
+    lo, hi = np.triu_indices(n, 1)
+    takes_low = np.fromiter((f.table[p] == p[0] for p in zip(lo.tolist(), hi.tolist())), bool, lo.size)
+    picks = np.full((n, n), -1, dtype=np.int8)
+    picks[lo, hi], picks[hi, lo] = takes_low, ~takes_low
+    picks = picks.ravel()
+
+    def unchosen(X, Y):
+        pick = picks.take(X[:, None, :] * n + Y[None, :, :])
+        return (pick != 1).all(axis=1), (pick != 0).all(axis=0)
+
+    return (lambda x, y: np.where(picks.take(x * n + y) == 1, x, y)), unchosen
 
 
-def _jump_blocks(m: PathMetric, f: TwoSelector):
-    """d(f(A), f(B)) over the d_H <= 1 pair neighbourhood, a block at a time.
+def _pair_tops(m: PathMetric, f: TwoSelector):
+    """Each pair A's largest jump d(f(A), f(B)), as (top, entry) per block of ``pair_blocks``.
 
-    Reads the blocks of ``hyperspace.pair_blocks`` and yields (a, b, X, Y,
-    jumps), with jumps[i, s, t] = d(f({a, b}), f({x, y})) for x = X[s, i]
-    and y = Y[t, i], or -1 where x == y; ``jumps`` is a view in scan order.
-    Each block is one gather from the all-pairs matrix.
+    With c = f({a, b}), the jump to {x, y} is d(c, x) when f chooses x and
+    d(c, y) otherwise, so top[i] is the largest d(c, v) over the chosen v
+    of N[a] and N[b]: 2 * width gathers from the matrix per pair.
+    entry(i, hit) is the Witness at pair i's first (x, y) in scan order
+    whose jump satisfies ``hit``, from that pair's width x width jumps.
     """
     n = m.graph.vertex_count
     dist = m.dense_matrix().ravel()
-    choose = _chooser(f, n)
+    choose, unchosen = _chooser(f, n)
     for _, a, b, X, Y in pair_blocks(m):
-        x, y = X[:, None, :], Y[None, :, :]
-        jumps = dist.take(choose(a, b) * n + choose(x, y))
-        yield a, b, X, Y, np.where(x == y, -1, jumps).transpose(2, 0, 1)
+        c = choose(a, b) * n
+        ux, uy = unchosen(X, Y)
+        dx, dy = dist.take(c + X), dist.take(c + Y)
+        dx[ux], dy[uy] = -1, -1
+        top = np.maximum(dx.max(axis=0), dy.max(axis=0))
 
+        def entry(i, hit, a=a, b=b, X=X, Y=Y, c=c):
+            x, y = X[:, i, None], Y[None, :, i]
+            jumps = np.where(x == y, -1, dist.take(c[i] + choose(x, y)))
+            s, t = np.unravel_index(int(hit(jumps).argmax()), jumps.shape)
+            return Witness((int(a[i]), int(b[i])), vpair(int(x[s, 0]), int(y[0, t])))
 
-def _entry(block, index: int) -> Witness:
-    """The pair of pairs A, B at a flat index into a block's jumps."""
-    a, b, X, Y, jumps = block
-    i, s, t = np.unravel_index(index, jumps.shape)
-    return Witness((int(a[i]), int(b[i])), vpair(int(X[s, i]), int(Y[t, i])))
+        yield top, entry
 
 
 def modulus(m: PathMetric, f: TwoSelector) -> Modulus:
@@ -187,17 +202,18 @@ def modulus(m: PathMetric, f: TwoSelector) -> Modulus:
     Minimality: every d_H <= 1 neighbor pair has choice distance <= r and
     the attaining witness rules out r - 1 (or r = 0 and any neighbor pair
     serves as witness).  The witness is the first attaining pair in scan
-    order.  A one-vertex graph has no neighbor pair: r = 0, witness None.
+    order: it lies in the first pair A whose top attains r.  A
+    one-vertex graph has no neighbor pair: r = 0, witness None.
     """
     if m.graph.vertex_count < 2:
         return Modulus(0, None)
-    r, witness = -1, None
-    for block in _jump_blocks(m, f):
-        jumps = block[-1]
-        top = int(jumps.max())
-        if top > r:
-            r, witness = top, _entry(block, int(jumps.argmax()))
-    return Modulus(r, witness)
+    r, first = -1, None
+    for top, entry in _pair_tops(m, f):
+        block_r = int(top.max())
+        if block_r > r:
+            r, first = block_r, (entry, int(top.argmax()))
+    entry, i = first
+    return Modulus(r, entry(i, lambda jumps: jumps == r))
 
 
 def verify_selector(m: PathMetric, f: TwoSelector, r: int):
@@ -206,10 +222,10 @@ def verify_selector(m: PathMetric, f: TwoSelector, r: int):
     Otherwise returns the first violating pair in scan order; the witness
     re-verifies (d_H <= 1 and image distance > r) by construction.
     """
-    for block in _jump_blocks(m, f):
-        jumps = block[-1]
-        if jumps.max() > r:
-            return _entry(block, int((jumps > r).argmax()))
+    for top, entry in _pair_tops(m, f):
+        over = top > r
+        if over.any():
+            return entry(int(over.argmax()), lambda jumps: jumps > r)
     return Holds()
 
 

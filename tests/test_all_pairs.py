@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,14 +76,37 @@ def test_dense_matrix_matches_a_queue_bfs(g, data):
     assert sorted(m._rows) == sorted(set(memo))  # the build memoizes no row
 
 
+@settings(max_examples=30, deadline=None)
+@given(oracle_graphs(), st.data())
+def test_distance_block_matches_a_queue_bfs_and_memoizes_nothing(g, data):
+    n = g.vertex_count
+    vertices = st.integers(0, n - 1)
+    memo = data.draw(st.lists(vertices, max_size=5), label="memoized rows")
+    # any sources, or the memoized rows and one more in some order
+    either = st.lists(vertices, min_size=1, max_size=12) | st.permutations(memo + [n - 1])
+    sources = data.draw(either, label="sources")
+    targets = data.draw(st.lists(vertices, min_size=1, max_size=12), label="targets")
+    m = PathMetric(g)
+    for v in memo:
+        m.row(v)
+    rows = dict(m._rows)
+    oracle = bfs_all_pairs(n, g.edge_list())
+    block = m.distance_block(sources, targets)
+    assert block.dtype == np.int32
+    assert block.tolist() == [[oracle[s][t] for t in targets] for s in sources]
+    assert m._rows == rows and m._dense is None
+
+
 def _kernel_sources(monkeypatch, g, memo=()):
     """Sources of every ``_batched_bfs`` call of one build, and the matrix."""
     calls = []
     kernel = graph_core._batched_bfs
 
-    def spy(flat, table, sources):
+    def spy(flat, table, sources, rows):
+        # the matrix build writes each source's distances into its own row
+        assert rows.tolist() == sources.tolist()
         calls.append(sources.tolist())
-        kernel(flat, table, sources)
+        kernel(flat, table, sources, rows)
 
     monkeypatch.setattr(graph_core, "_batched_bfs", spy)
     m = PathMetric(g)

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from coarsegraph import (
     PathMetric,
+    graph_core,
     QuasiIsometryCert,
     Valid,
     build_graph,
@@ -97,6 +98,28 @@ def test_extract_certificate_equals_oracle_tighten(g, tournament):
     assert isinstance(res, (Ray, Line))
     assert res.cert == oracle_tighten(m, res.cert.coord)
     assert isinstance(oracle_verify(m, res.cert), Valid)
+
+
+@pytest.mark.parametrize("g", [path_graph(200), grid_graph(70, 2)], ids=["path:200", "grid:70x2"])
+@pytest.mark.parametrize("block_rows", [3, None], ids=["3-row-blocks", "one-block-a-chunk"])
+def test_rows_asked_in_several_chunks_match_the_oracle(monkeypatch, g, block_rows):
+    # chunks of 4 rows of BFS distances, so S spans dozens of them; with
+    # 3-row blocks each chunk is sliced into a block of 3 rows and one of 1
+    n = g.vertex_count
+    monkeypatch.setattr(graph_core, "BATCH_ENTRIES", 4 * n)
+    if block_rows is not None:
+        monkeypatch.setattr(qi_cert, "BLOCK_ELEMENTS", block_rows * n)
+    rng = random.Random(n)
+    coord = {v: v * 70 // n + rng.randrange(3) for v in range(n) if v % 5 != 2}
+    m, oracle_metric = PathMetric(g), PathMetric(g)
+    cert = tighten(m, coord)
+    assert cert == oracle_tighten(oracle_metric, coord)
+    lam, C, D = cert.lam, cert.C, cert.D
+    cases = [(lam, C, D), (lam * Fraction(3, 4), C, D), (lam, C - 1, D), (lam, C, D - 1), (1, 0, 0)]
+    for lam_c, C_c, D_c in cases:
+        varied = QuasiIsometryCert(coord, max(Fraction(1), lam_c), C_c, D_c)
+        assert verify_qi(m, varied) == oracle_verify(oracle_metric, varied)
+    assert m._rows == {} and m._dense is None
 
 
 def test_huge_operands_take_the_python_int_path():

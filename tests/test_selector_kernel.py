@@ -4,17 +4,20 @@
 same r and attaining witness, and ``verify_selector`` the same verdict and
 first witness at every r from -1 to the modulus, for coordinate, order and
 table selectors, with and without memoized rows copied into the all-pairs
-matrix and across block boundaries; the search's neighbour lists, read from
+matrix and across block boundaries, and on graphs with a hub, whose
+padded neighbourhood rows are wide; the search's neighbour lists, read from
 the same blocks, must be the oracle's at every block size too.
 """
 from __future__ import annotations
 
 import random
+from itertools import islice
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coarsegraph import PathMetric, hyperspace
+from coarsegraph import PathMetric, build_graph, hyperspace
 from coarsegraph.generators import comb_graph, cycle_graph, grid_graph, path_graph, tripod_graph
 from coarsegraph.order_compat import LinearOrder
 from coarsegraph.selector import min_selector, modulus, order_to_selector, verify_selector
@@ -69,6 +72,41 @@ def test_kernel_matches_oracle(name, rows_first, block):
             for r in range(-1, expected.r + 1):
                 assert verify_selector(m, f, r) == oracle_verify(oracle_metric, f, r), (label, r)
             assert sorted(m._rows) == memo  # the scans memoize no row
+
+
+@st.composite
+def hub_graphs(draw):
+    """Random connected graphs, stars and spiders, the last two with extra edges."""
+    kind = draw(st.sampled_from(["random", "star", "spider"]))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "random":
+        n = draw(st.integers(2, 40))
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+    elif kind == "star":
+        n = draw(st.integers(3, 40))
+        edges = {(0, v) for v in range(1, n)}
+    else:  # legs of equal length from the hub 0
+        legs, length = draw(st.integers(3, 10)), draw(st.integers(2, 4))
+        n = 1 + legs * length
+        edges = {(0 if v <= legs else v - legs, v) for v in range(1, n)}
+    for _ in range(draw(st.integers(0, n // 2), label="extra edges")):
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((a, b))
+    return build_graph(sorted(edges), vertex_count=n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hub_graphs(), st.data())
+def test_kernel_matches_oracle_with_hubs(g, data):
+    rng = data.draw(st.randoms(use_true_random=False), label="selector rng")
+    label, f = data.draw(st.sampled_from(list(islice(_selectors(g, rng), 4))), label="selector")
+    block = data.draw(st.sampled_from([1, 7, hyperspace.BLOCK_ELEMENTS]), label="block")
+    oracle_metric, m = PathMetric(g), PathMetric(g)
+    with mock.patch.object(hyperspace, "BLOCK_ELEMENTS", block):
+        expected = oracle_modulus(oracle_metric, f)
+        assert modulus(m, f) == expected, label
+        for r in range(-1, expected.r + 1):
+            assert verify_selector(m, f, r) == oracle_verify(oracle_metric, f, r), (label, r)
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
