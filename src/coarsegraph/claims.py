@@ -32,6 +32,12 @@ class RightEnd:
     j: int
 
 
+# outcomes that carry nothing of the probe are shared; frozen, so they
+# compare and hash as fresh ones do
+_HOLDS = Holds()
+_NEAR_CHAIN = HypothesisUnmet("d(v, P) <= p + r")
+
+
 @dataclass(frozen=True)
 class ClaimConfig:
     """A probe vertex against a chain with step bound p.
@@ -56,9 +62,12 @@ def _checked_chain(m: PathMetric, zs, p: int) -> ChainProfile | HypothesisUnmet:
     """The chain's profile, or the first chain hypothesis that fails: a
     nonempty chain, p > 0, steps <= p.
 
-    ``m.chain_profile`` remembers the last chain, so a chain checked against
-    many probes is read once; only a chain that fails is scanned again, for
-    its first long step.
+    The claims first test the profile ``m.chain_profile`` stored last: when
+    ``zs`` is its very tuple and the three hypotheses hold at p (read from
+    ``zs``, p and the stored largest step), they use it without coming here.
+    Any other call comes here, where a copy of the last chain still meets
+    the memo; only a chain that fails is scanned again, for its first long
+    step.
     """
     if len(zs) < 1:
         return HypothesisUnmet("empty chain")
@@ -69,6 +78,44 @@ def _checked_chain(m: PathMetric, zs, p: int) -> ChainProfile | HypothesisUnmet:
         return prof
     i = next(i for i, (z1, z2) in enumerate(zip(zs, zs[1:])) if m.distance(z1, z2) > p)
     return HypothesisUnmet(f"chain step {i} exceeds p")
+
+
+def _near_end_table(m: PathMetric, prof: ChainProfile, bound: int) -> list:
+    """Hypotheses (1) and (2) at each nearest index k, for one bound p + r.
+
+    Entry k is the (1) outcome naming the least j >= k with
+    d(z_0, z_j) <= bound, else the (2) outcome naming the least j with
+    d(z_m, z_j) <= bound when j <= k, else None.  Built once per bound from
+    the end rows the profile read, and kept in ``prof.tables``.
+    """
+    zs = prof.chain
+    row_0, row_m = m.row(zs[0]), m.row(zs[-1])
+    j2 = next((j for j, z in enumerate(zs) if row_m[z] <= bound), len(zs))
+    unmet1, unmet2 = None, HypothesisUnmet(f"(2) fails: d(z_m, z_{j2}) <= p + r")
+    table = [None] * len(zs)
+    for k in reversed(range(len(zs))):
+        if row_0[zs[k]] <= bound:
+            unmet1 = HypothesisUnmet(f"(1) fails: d(z_0, z_{k}) <= p + r")
+        table[k] = unmet1 if unmet1 is not None else unmet2 if k >= j2 else None
+    prof.tables[bound] = table
+    return table
+
+
+def _end_ball_unmet(m: PathMetric, prof: ChainProfile, bound: int, q: int):
+    """claim3_side's end-ball hypotheses for one (p + r, q): the first that
+    fails, naming its least index, or Holds.  Kept in ``prof.tables``."""
+    zs, last, unmet = prof.chain, len(prof.chain) - 1, _HOLDS
+    lo, hi = max(q + 1, 0), min(last - q, last)  # the end balls' windows z_lo.. and ..z_hi
+    if lo <= last and prof.min_from_first[lo] <= bound:
+        row_0 = m.row(zs[0])
+        i = next(i for i in range(lo, last + 1) if row_0[zs[i]] <= bound)
+        unmet = HypothesisUnmet(f"end ball hypothesis fails at z_{i} near z_0")
+    elif hi >= 0 and prof.min_from_last[hi] <= bound:
+        row_m = m.row(zs[-1])
+        i = next(i for i in range(hi + 1) if row_m[zs[i]] <= bound)
+        unmet = HypothesisUnmet(f"end ball hypothesis fails at z_{i} near z_m")
+    prof.tables[bound, q] = unmet
+    return unmet
 
 
 def _first_break(m: PathMetric, f: TwoSelector, r: int, pairs):
@@ -85,14 +132,6 @@ def _first_break(m: PathMetric, f: TwoSelector, r: int, pairs):
                     raise InvariantError(f"chain step {prev} -> {cur} is not a d_H <= 1 move")
                 return Witness(prev, cur)
             prev, prev_choice = cur, choice
-    return None
-
-
-def _first_within(row, vertices, bound: int) -> int | None:
-    """Index of the first vertex at distance <= bound in ``row``, or None."""
-    for i, w in enumerate(vertices):
-        if row[w] <= bound:
-            return i
     return None
 
 
@@ -115,7 +154,7 @@ def claim1_propagate(m, f: TwoSelector, r: int, v: int, a: int, b: int, p: int):
         return HypothesisUnmet("f({a, v}) is not a")
     walk = geodesic_between(m, a, b)
     broken = _first_break(m, f, r, [vpair(u, v) for u in walk])
-    return broken if broken is not None else Holds()
+    return broken if broken is not None else _HOLDS
 
 
 def claim2_check(m, f: TwoSelector, r: int, config: ClaimConfig):
@@ -129,52 +168,44 @@ def claim2_check(m, f: TwoSelector, r: int, config: ClaimConfig):
     against the opposite ends) would otherwise pin f({z_0, z_m}) to both of
     its values, so some leg must break; the first break is the witness.
     """
-    prof = _checked_chain(m, config.z, config.p)
-    if isinstance(prof, HypothesisUnmet):
-        return prof
-    return _claim2_core(m, f, r, prof, config.v, config.p)
+    zs, v, p = config.z, config.v, config.p
+    prof = m._last_chain  # the very tuple it stored hits without a copy or a compare
+    if prof is None or prof.chain is not zs or not zs or p <= 0 or prof.max_step > p:
+        prof = _checked_chain(m, zs, p)
+        if isinstance(prof, HypothesisUnmet):
+            return prof
+    if prof.near_dist[v] <= p + r:
+        return _HOLDS
+    return _claim2_core(m, f, r, prof, v, p)
 
 
 def _claim2_core(m, f: TwoSelector, r: int, prof: ChainProfile, v: int, p: int):
-    """claim2_check past its precheck, against the chain's profile.
+    """claim2_check past its precheck and a failed bound d(v, P) <= p + r.
 
-    Hypotheses (1) and (2) are tests against the profile's minima; only a
-    failing one scans the chain, to name its first index.
+    Hypotheses (1) and (2) are one lookup in the profile's table for p + r.
     """
-    zs, t, k = prof.chain, prof.near_dist[v], prof.near_index[v]
-    bound = p + r
-    if t <= bound:
-        return Holds()
+    bound, k, zs = p + r, prof.near_index[v], prof.chain
+    unmet = (prof.tables.get(bound) or _near_end_table(m, prof, bound))[k]
+    if unmet is not None:
+        return unmet
     row_0, row_m = m.row(zs[0]), m.row(zs[-1])
-    if prof.min_from_first[k] <= bound:
-        i = k + _first_within(row_0, zs[k:], bound)
-        return HypothesisUnmet(f"(1) fails: d(z_0, z_{i}) <= p + r")
-    if prof.min_from_last[k] <= bound:
-        return HypothesisUnmet(f"(2) fails: d(z_m, z_{_first_within(row_m, zs, bound)}) <= p + r")
     geo = geodesic_between(m, v, zs[k])
-    if _first_within(row_0, geo, bound) is not None:
+    if any(row_0[w] <= bound for w in geo):
         return HypothesisUnmet("(3) fails: geodesic meets B(z_0, p + r)")
-    if _first_within(row_m, geo, bound) is not None:
+    if any(row_m[w] <= bound for w in geo):
         return HypothesisUnmet("(4) fails: geodesic meets B(z_m, p + r)")
-
-    chain_all = _chain_vertices(m, zs)
-    chain_right = _chain_vertices(m, zs[k:])
-    chain_left = _chain_vertices(m, list(reversed(zs[: k + 1])))
     legs = (
-        [vpair(w, v) for w in chain_all],
+        [vpair(w, v) for w in _chain_vertices(m, zs)],
         [vpair(zs[0], w) for w in geo],
         [vpair(zs[-1], w) for w in geo],
-        [vpair(zs[0], w) for w in chain_right],
-        [vpair(zs[-1], w) for w in chain_left],
+        [vpair(zs[0], w) for w in _chain_vertices(m, zs[k:])],
+        [vpair(zs[-1], w) for w in _chain_vertices(m, list(reversed(zs[: k + 1])))],
     )
     for leg in legs:
         broken = _first_break(m, f, r, leg)
         if broken is not None:
             return broken
-    raise InvariantError(
-        "propagation legs all closed yet the conclusion fails; "
-        "f cannot be a function"
-    )
+    raise InvariantError("propagation legs all closed yet the conclusion fails; f cannot be a function")
 
 
 def claim3_side(m, f: TwoSelector, r: int, zs, v: int, p: int, q: int | None = None):
@@ -187,25 +218,20 @@ def claim3_side(m, f: TwoSelector, r: int, zs, v: int, p: int, q: int | None = N
     """
     if q is None:
         q = 2 * (r + p) + 1
-    prof = _checked_chain(m, zs, p)
-    if isinstance(prof, HypothesisUnmet):
-        return prof
-    zs, last, bound = prof.chain, len(prof.chain) - 1, p + r
+    prof = m._last_chain  # the very tuple it stored hits without a copy or a compare
+    if prof is None or prof.chain is not zs or not zs or p <= 0 or prof.max_step > p:
+        prof = _checked_chain(m, zs, p)
+        if isinstance(prof, HypothesisUnmet):
+            return prof
+    bound = p + r
     if prof.near_dist[v] <= bound:
-        return HypothesisUnmet("d(v, P) <= p + r")
-    lo, hi = max(q + 1, 0), min(last - q, last)  # the end balls' windows z_lo.. and ..z_hi
-    if lo <= last and prof.min_from_first[lo] <= bound:
-        i = lo + _first_within(m.row(zs[0]), zs[lo:], bound)
-        return HypothesisUnmet(f"end ball hypothesis fails at z_{i} near z_0")
-    if hi >= 0 and prof.min_from_last[hi] <= bound:
-        i = _first_within(m.row(zs[-1]), zs, bound)
-        return HypothesisUnmet(f"end ball hypothesis fails at z_{i} near z_m")
-    j = prof.near_index[v]
+        return _NEAR_CHAIN
+    unmet = prof.tables.get((bound, q)) or _end_ball_unmet(m, prof, bound, q)
+    if unmet is not _HOLDS:
+        return unmet
+    j, last = prof.near_index[v], len(prof.chain) - 1
     if j <= q:
         return LeftEnd(j)
     if j >= last - q:
         return RightEnd(j)
-    sub = _claim2_core(m, f, r, prof, v, p)
-    if isinstance(sub, Holds):
-        raise InvariantError("nearest distance both above and below p + r")
-    return sub
+    return _claim2_core(m, f, r, prof, v, p)

@@ -233,6 +233,8 @@ class ChainProfile(NamedTuple):
     ``near_dist[v]`` is d(v, {z_i}) and ``near_index[v]`` the lowest i with
     d(v, z_i) equal to it; ``min_from_first[i]`` is the least d(z_0, z_j)
     over j >= i, and ``min_from_last[i]`` the least d(z_m, z_j) over j <= i.
+    The claims keep their per-bound outcomes in ``tables``, so a new chain
+    drops them with its profile.
     """
 
     chain: tuple[int, ...]
@@ -241,6 +243,7 @@ class ChainProfile(NamedTuple):
     near_index: list[int]
     min_from_first: list[int]
     min_from_last: list[int]
+    tables: dict
 
 
 class PathMetric:
@@ -253,8 +256,9 @@ class PathMetric:
     memo is read from the matrix without memoizing a row beside it.
     ``chain_profile`` remembers the last chain it was asked about, so
     callers that check one chain against many probes build its profile
-    once.  The padded neighbourhood table of every vertex is built once, by
-    ``neighborhoods``.
+    once; the memo holds 2n + 2|z| ints, plus the claims' |z| entries per
+    bound p + r asked about.  The padded neighbourhood table of every vertex
+    is built once, by ``neighborhoods``.
     """
 
     def __init__(self, graph: Graph):
@@ -294,7 +298,7 @@ class PathMetric:
         vertex keeps its first index) labels every vertex with its nearest
         chain index: a vertex's nearest indices are those of its neighbours
         one level closer.  The minima read the two end rows through ``row``
-        and the steps through ``distance``.  The memo holds 2n + 2|z| ints.
+        and the steps through ``distance``.
         """
         key = tuple(seq)
         last = self._last_chain
@@ -314,7 +318,7 @@ class PathMetric:
             from_first = list(accumulate([row_0[z] for z in reversed(key)], min))[::-1]
             from_last = list(accumulate([row_m[z] for z in key], min))
         step = max(map(self.distance, key, key[1:]), default=0)
-        self._last_chain = ChainProfile(key, step, dist, label, from_first, from_last)
+        self._last_chain = ChainProfile(key, step, dist, label, from_first, from_last, {})
         return self._last_chain
 
     def neighborhoods(self) -> np.ndarray:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import InputError, PathMetric
-from .hyperspace import hausdorff_distance, pair_blocks, vpair
+from .graph_core import InputError, InvariantError, PathMetric
+from .hyperspace import pair_blocks, vpair
 
 
 class NonInjectiveCoordinate(ValueError):
@@ -202,7 +202,8 @@ def modulus(m: PathMetric, f: TwoSelector) -> Modulus:
     Minimality: every d_H <= 1 neighbor pair has choice distance <= r and
     the attaining witness rules out r - 1 (or r = 0 and any neighbor pair
     serves as witness).  The witness is the first attaining pair in scan
-    order: it lies in the first pair A whose top attains r.  A
+    order: it lies in the first pair A whose top attains r, and is re-checked
+    against r - 1 before it is returned.  A
     one-vertex graph has no neighbor pair: r = 0, witness None.
     """
     if m.graph.vertex_count < 2:
@@ -213,27 +214,38 @@ def modulus(m: PathMetric, f: TwoSelector) -> Modulus:
         if block_r > r:
             r, first = block_r, (entry, int(top.argmax()))
     entry, i = first
-    return Modulus(r, entry(i, lambda jumps: jumps == r))
+    return Modulus(r, _rechecked(m, f, r - 1, entry(i, lambda jumps: jumps == r)))
 
 
 def verify_selector(m: PathMetric, f: TwoSelector, r: int):
     """Holds iff every d_H <= 1 neighbor pair has choice distance <= r.
 
     Otherwise returns the first violating pair in scan order; the witness
-    re-verifies (d_H <= 1 and image distance > r) by construction.
+    re-verifies (d_H <= 1 and image distance > r) by construction, and is
+    re-checked before it is returned.
     """
     for top, entry in _pair_tops(m, f):
         over = top > r
         if over.any():
-            return entry(int(over.argmax()), lambda jumps: jumps > r)
+            return _rechecked(m, f, r, entry(int(over.argmax()), lambda jumps: jumps > r))
     return Holds()
 
 
+def _rechecked(m: PathMetric, f: TwoSelector, r: int, w: Witness) -> Witness:
+    """``w`` once ``witness_is_violation`` confirms it against r, else InvariantError."""
+    if not witness_is_violation(m, f, r, w.pair_a, w.pair_b):
+        raise InvariantError(f"kernel witness {w} is no violation of modulus {r}")
+    return w
+
+
 def witness_is_violation(m: PathMetric, f: TwoSelector, r: int, pair_a, pair_b) -> bool:
-    """Re-verify a witness: d_H(A, B) <= 1 and d(f(A), f(B)) > r."""
-    pa = vpair(*pair_a)
-    pb = vpair(*pair_b)
-    if hausdorff_distance(m, pa, pb) > 1:
+    """Re-verify a witness: d_H(A, B) <= 1 and d(f(A), f(B)) > r.
+
+    Reads at most nine single distances, so after a scan they come from the
+    all-pairs matrix and no row is memoized.
+    """
+    pa, pb = vpair(*pair_a), vpair(*pair_b)
+    if any(min(m.distance(u, v) for v in V) > 1 for U, V in ((pa, pb), (pb, pa)) for u in U):
         return False
     return m.distance(f.choose_pair(pa), f.choose_pair(pb)) > r
 

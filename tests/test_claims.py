@@ -229,6 +229,59 @@ def test_claims_agree_with_oracle(g, seed):
         assert claim3_side(m, f, r, zs, v, p, q=q) == oracle_claim3(m, f, r, zs, v, p, q=q)
 
 
+@settings(max_examples=60, deadline=None)
+@given(claim_graphs(), st.integers(min_value=0, max_value=2**32))
+def test_chain_memo_agrees_with_oracle_across_interleaved_calls(g, seed):
+    # one metric for every call, so the last-chain memo and its per-bound
+    # tables carry over: the same tuple at alternating (r, p, q), a list copy
+    # of it, another chain in between, the empty chain once it is the
+    # remembered one, p <= 0 on a remembered chain, and a long-step chain
+    # after a good one.  Each outcome must be the oracle's on a metric the
+    # claims never touch, and an outcome the claims share must compare and
+    # hash as the oracle's fresh one
+    rng = random.Random(seed)
+    m, fresh = PathMetric(g), PathMetric(g)
+    n = g.vertex_count
+    f = min_selector(_ids(g)) if rng.random() < 0.3 else random_tournament(g, rng)
+    p0, q0 = rng.randint(1, 3), rng.randrange(7)  # q0 recurs at several bounds p + r
+    a = tuple(_drawn_chain(fresh, rng, p0)) or (0,)
+    b = tuple(_drawn_chain(fresh, rng, p0)) or (n - 1,)
+    far_end = fresh.row(a[-1])
+    long_step = a + (far_end.index(max(far_end)),)
+
+    def run(zs, r, p, q):
+        if zs:  # the vertex farthest from the chain reaches the deepest checks
+            far = fresh.distances_from_set(zs)
+            probes = [far.index(max(far))] + rng.sample(range(n), min(n, 4))
+        else:
+            probes = [rng.randrange(n)]
+        for v in probes:
+            for out, expected in (
+                (claim2_check(m, f, r, ClaimConfig(v=v, z=zs, p=p)), oracle_claim2(fresh, f, r, zs, v, p)),
+                (claim3_side(m, f, r, zs, v, p, q=q), oracle_claim3(fresh, f, r, zs, v, p, q=q)),
+            ):
+                assert out == expected and hash(out) == hash(expected), (zs, v, r, p, q)
+
+    for _ in range(12):
+        kind = rng.choice(["same", "same", "list", "other", "empty", "p<=0", "long"])
+        r, q, p = rng.randint(0, 2), rng.choice([None, q0]), rng.choice([p0, p0 + 1, max(1, p0 - 1)])
+        if kind == "same":
+            run(a, r, p, q)
+        elif kind == "list":
+            run(list(a), r, p, q)
+        elif kind == "other":
+            run(b, r, p, q)
+        elif kind == "empty":
+            m.chain_profile(())
+            run((), r, p, q)
+        elif kind == "p<=0":
+            run(a, r, p, q)
+            run(a, r, rng.choice([0, -1]), q)
+        else:
+            run(a, r, p, q)
+            run(long_step, r, p, q)
+
+
 def test_claim2_geodesic_hypotheses_match_oracle():
     # chains whose ends stay far from each other's half but come close to
     # the geodesic from v: hypotheses (3) and (4), rare in random draws

@@ -119,3 +119,27 @@ def test_search_neighbour_lists_unchanged(name):
     for block in BLOCKS:  # 1 and 7 split the pairs of every graph over many blocks
         with mock.patch.object(hyperspace, "BLOCK_ELEMENTS", block):
             assert hyperspace.pair_neighbor_lists(m) == (pairs, expected), block
+
+
+@pytest.mark.parametrize("name", ["path9", "grid3x5", "comb"])
+def test_kernels_recheck_their_witness(name):
+    # a chooser that picks the other element of each pair {a, b} makes the
+    # kernel measure jumps f never makes: its witness is no violation of f,
+    # and each kernel's own re-check raises rather than returning it
+    from coarsegraph import selector
+    from coarsegraph.graph_core import InvariantError
+
+    g = GRAPHS[name]
+    f = min_selector(range(g.vertex_count))
+    true_r = modulus(PathMetric(g), f).r
+    real = selector._chooser
+
+    def corrupted(f, n):
+        choose, unchosen = real(f, n)
+        return (lambda x, y: x + y - choose(x, y)), unchosen
+
+    with mock.patch.object(selector, "_chooser", corrupted):
+        with pytest.raises(InvariantError, match="no violation"):
+            modulus(PathMetric(g), f)
+        with pytest.raises(InvariantError, match="no violation"):
+            verify_selector(PathMetric(g), f, true_r)
