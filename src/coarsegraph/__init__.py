@@ -25,14 +25,11 @@ from .hyperspace import (
     vpair,
 )
 from .selector import (
-    BornologousSelector,
     Holds,
     Modulus,
     NonInjectiveCoordinate,
-    PrecRelation,
     TwoSelector,
     Witness,
-    lift_bornologous,
     min_selector,
     modulus,
     order_to_selector,

@@ -86,7 +86,7 @@ def _near_end_table(m: PathMetric, prof: ChainProfile, bound: int) -> list:
     Entry k is the (1) outcome naming the least j >= k with
     d(z_0, z_j) <= bound, else the (2) outcome naming the least j with
     d(z_m, z_j) <= bound when j <= k, else None.  Built once per bound from
-    the end rows the profile read, and kept in ``prof.tables``.
+    the two end rows, and kept in ``prof.tables``.
     """
     zs = prof.chain
     row_0, row_m = m.row(zs[0]), m.row(zs[-1])
@@ -103,17 +103,16 @@ def _near_end_table(m: PathMetric, prof: ChainProfile, bound: int) -> list:
 
 def _end_ball_unmet(m: PathMetric, prof: ChainProfile, bound: int, q: int):
     """claim3_side's end-ball hypotheses for one (p + r, q): the first that
-    fails, naming its least index, or Holds.  Kept in ``prof.tables``."""
+    fails, naming its least index, or Holds.  An end's row is read only when
+    its window is nonempty; the outcome is kept in ``prof.tables``."""
     zs, last, unmet = prof.chain, len(prof.chain) - 1, _HOLDS
     lo, hi = max(q + 1, 0), min(last - q, last)  # the end balls' windows z_lo.. and ..z_hi
-    if lo <= last and prof.min_from_first[lo] <= bound:
-        row_0 = m.row(zs[0])
-        i = next(i for i in range(lo, last + 1) if row_0[zs[i]] <= bound)
-        unmet = HypothesisUnmet(f"end ball hypothesis fails at z_{i} near z_0")
-    elif hi >= 0 and prof.min_from_last[hi] <= bound:
-        row_m = m.row(zs[-1])
-        i = next(i for i in range(hi + 1) if row_m[zs[i]] <= bound)
-        unmet = HypothesisUnmet(f"end ball hypothesis fails at z_{i} near z_m")
+    for end, name, window in ((zs[0], "z_0", range(lo, last + 1)), (zs[-1], "z_m", range(hi + 1))):
+        row = m.row(end) if window else None
+        i = next((i for i in window if row[zs[i]] <= bound), None)
+        if i is not None:
+            unmet = HypothesisUnmet(f"end ball hypothesis fails at z_{i} near {name}")
+            break
     prof.tables[bound, q] = unmet
     return unmet
 
@@ -121,10 +120,10 @@ def _end_ball_unmet(m: PathMetric, prof: ChainProfile, bound: int, q: int):
 def _first_break(m: PathMetric, f: TwoSelector, r: int, pairs):
     """First consecutive step whose images are more than r apart."""
     prev = pairs[0]
-    prev_choice = f.choose_pair(prev)
+    prev_choice = f.choose(*prev)
     for cur in pairs[1:]:
         if cur != prev:
-            choice = f.choose_pair(cur)
+            choice = f.choose(*cur)
             if m.distance(prev_choice, choice) > r:
                 # chains move one element along an edge, so the witness
                 # re-verifies by construction

@@ -8,7 +8,6 @@ caller's business.
 from __future__ import annotations
 
 import re
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -231,18 +230,14 @@ class ChainProfile(NamedTuple):
     """A chain z_0 .. z_m against every vertex, built once per chain.
 
     ``near_dist[v]`` is d(v, {z_i}) and ``near_index[v]`` the lowest i with
-    d(v, z_i) equal to it; ``min_from_first[i]`` is the least d(z_0, z_j)
-    over j >= i, and ``min_from_last[i]`` the least d(z_m, z_j) over j <= i.
-    The claims keep their per-bound outcomes in ``tables``, so a new chain
-    drops them with its profile.
+    d(v, z_i) equal to it.  The claims keep their per-bound outcomes in
+    ``tables``, so a new chain drops them with its profile.
     """
 
     chain: tuple[int, ...]
     max_step: int
     near_dist: list[int]
     near_index: list[int]
-    min_from_first: list[int]
-    min_from_last: list[int]
     tables: dict
 
 
@@ -256,9 +251,9 @@ class PathMetric:
     memo is read from the matrix without memoizing a row beside it.
     ``chain_profile`` remembers the last chain it was asked about, so
     callers that check one chain against many probes build its profile
-    once; the memo holds 2n + 2|z| ints, plus the claims' |z| entries per
-    bound p + r asked about.  The padded neighbourhood table of every vertex
-    is built once, by ``neighborhoods``.
+    once; the memo holds 2n + |z| ints, plus the claims' tables: |z| entries
+    per bound p + r and one per (p + r, q) asked about.  The padded
+    neighbourhood table of every vertex is built once, by ``neighborhoods``.
     """
 
     def __init__(self, graph: Graph):
@@ -297,8 +292,7 @@ class PathMetric:
         One BFS seeded with the chain vertices in index order (a repeated
         vertex keeps its first index) labels every vertex with its nearest
         chain index: a vertex's nearest indices are those of its neighbours
-        one level closer.  The minima read the two end rows through ``row``
-        and the steps through ``distance``.
+        one level closer.  The steps are read through ``distance``.
         """
         key = tuple(seq)
         last = self._last_chain
@@ -312,13 +306,8 @@ class PathMetric:
                 label[z] = i
                 order.append(z)
         _labelled_bfs(self.graph.adjacency, order, dist, label)
-        from_first, from_last = [], []
-        if key:
-            row_0, row_m = self.row(key[0]), self.row(key[-1])
-            from_first = list(accumulate([row_0[z] for z in reversed(key)], min))[::-1]
-            from_last = list(accumulate([row_m[z] for z in key], min))
         step = max(map(self.distance, key, key[1:]), default=0)
-        self._last_chain = ChainProfile(key, step, dist, label, from_first, from_last, {})
+        self._last_chain = ChainProfile(key, step, dist, label, {})
         return self._last_chain
 
     def neighborhoods(self) -> np.ndarray:
@@ -332,16 +321,8 @@ class PathMetric:
         return {u for u, d in enumerate(row) if d <= radius}
 
     def eccentricities(self):
-        """(v, largest distance from v) for each vertex v in id order.
-
-        Reads the dense matrix when it is already built, so no row list is
-        memoized beside it; otherwise each vertex's row, one at a time.
-        """
-        if self._dense is not None:
-            yield from enumerate(self._dense.max(axis=1).tolist())
-        else:
-            for v in range(self.graph.vertex_count):
-                yield v, max(self.row(v))
+        """(v, largest distance from v) for each vertex v in id order, from the dense matrix."""
+        yield from enumerate(self.dense_matrix().max(axis=1).tolist())
 
     def diameter(self) -> int:
         if self._diameter is None:

@@ -74,24 +74,9 @@ class TwoSelector:
             return a if self.coord[a] < self.coord[b] else b
         return self.table[(a, b) if a < b else (b, a)]
 
-    def choose_pair(self, pair) -> int:
-        return self.choose(pair[0], pair[1])
-
     def __repr__(self):
         kind = "coord" if self.coord is not None else f"table[{len(self.table)}]"
         return f"TwoSelector({kind})"
-
-
-class PrecRelation:
-    """Tournament induced by a selector: a strictly-before b iff f({a,b}) = a."""
-
-    def __init__(self, selector: TwoSelector):
-        self.selector = selector
-
-    def prec(self, a: int, b: int) -> bool:
-        return a != b and self.selector.choose(a, b) == a
-
-    __call__ = prec
 
 
 def min_selector(coord) -> TwoSelector:
@@ -110,30 +95,13 @@ def order_to_selector(order) -> TwoSelector:
 
 
 def selector_from_table(table: dict) -> TwoSelector:
-    return TwoSelector(table=dict(table))
-
-
-@dataclass(frozen=True)
-class BornologousSelector:
-    """Coordinate-minimum choice on arbitrary nonempty finite subsets."""
-
-    coord: tuple
-
-    def choose(self, vertices) -> int:
-        vs = list(vertices)
-        if not vs:
-            raise ValueError("nonempty subset required")
-        return min(vs, key=lambda v: self.coord[v])
-
-    def restrict_to_pairs(self) -> TwoSelector:
-        return TwoSelector(coord=list(self.coord))
-
-
-def lift_bornologous(coord) -> BornologousSelector:
-    coord = tuple(coord)
-    if len(set(coord)) != len(coord):
-        raise NonInjectiveCoordinate("coordinate values must be distinct")
-    return BornologousSelector(coord)
+    """Selector with one choice per pair; a pair may be keyed either way, but not both."""
+    pairs = dict(table)
+    for a, b in [key for key in pairs if key[0] > key[1]]:  # a list: pairs changes below
+        if (b, a) in pairs:
+            raise InvalidSelector(f"pair {{{a}, {b}}} is given twice")
+        pairs[b, a] = pairs.pop((a, b))
+    return TwoSelector(table=pairs)
 
 
 def _chooser(f: TwoSelector, n: int):
@@ -156,7 +124,14 @@ def _chooser(f: TwoSelector, n: int):
         return (lambda x, y: np.where(rank[x] < rank[y], x, y)), unchosen
     # picks[x * n + y] is 1 when f chooses x from {x, y}, 0 when it chooses y, -1 if x == y
     lo, hi = np.triu_indices(n, 1)
-    takes_low = np.fromiter((f.table[p] == p[0] for p in zip(lo.tolist(), hi.tolist())), bool, lo.size)
+    try:  # pairs in (a, b) order, so the first one missing is named
+        takes_low = np.fromiter((f.table[p] == p[0] for p in zip(lo.tolist(), hi.tolist())), bool, lo.size)
+    except KeyError as missing:
+        a, b = missing.args[0]
+        raise InvalidSelector(f"table gives no choice for pair {{{a}, {b}}}") from None
+    if len(f.table) > lo.size:
+        a, b = min(p for p in f.table if not 0 <= p[0] < p[1] < n)
+        raise InvalidSelector(f"table chooses from {{{a}, {b}}}, not a pair of 0..{n - 1}")
     picks = np.full((n, n), -1, dtype=np.int8)
     picks[lo, hi], picks[hi, lo] = takes_low, ~takes_low
     picks = picks.ravel()
@@ -247,19 +222,16 @@ def witness_is_violation(m: PathMetric, f: TwoSelector, r: int, pair_a, pair_b) 
     pa, pb = vpair(*pair_a), vpair(*pair_b)
     if any(min(m.distance(u, v) for v in V) > 1 for U, V in ((pa, pb), (pb, pa)) for u in U):
         return False
-    return m.distance(f.choose_pair(pa), f.choose_pair(pb)) > r
+    return m.distance(f.choose(*pa), f.choose(*pb)) > r
 
 
 __all__ = [
-    "BornologousSelector",
     "Holds",
     "InvalidSelector",
     "Modulus",
     "NonInjectiveCoordinate",
-    "PrecRelation",
     "TwoSelector",
     "Witness",
-    "lift_bornologous",
     "min_selector",
     "modulus",
     "order_to_selector",

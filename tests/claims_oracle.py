@@ -47,7 +47,7 @@ def oracle_first_break(m, f, r, pairs):
     prev_choice = None
     for cur in pairs:
         if prev is not None and cur != prev:
-            choice = f.choose_pair(cur)
+            choice = f.choose(*cur)
             if m.distance(prev_choice, choice) > r:
                 if hausdorff_distance(m, prev, cur) > 1:
                     raise InvariantError(f"chain step {prev} -> {cur} is not a d_H <= 1 move")
@@ -55,7 +55,7 @@ def oracle_first_break(m, f, r, pairs):
             prev, prev_choice = cur, choice
         elif prev is None:
             prev = cur
-            prev_choice = f.choose_pair(cur)
+            prev_choice = f.choose(*cur)
     return None
 
 

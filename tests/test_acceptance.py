@@ -98,7 +98,7 @@ def test_criterion_2_modulus_exactness():
         if hausdorff_distance(m, A, B) != 1:
             failures.append(f"{n}x{n} witness family not at d_H 1")
             continue
-        jump = m.distance(f.choose_pair(A), f.choose_pair(B))
+        jump = m.distance(f.choose(*A), f.choose(*B))
         if jump < n:
             failures.append(f"{n}x{n} witness jump {jump} < {n}")
         if n <= 8:

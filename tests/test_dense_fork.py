@@ -2,11 +2,11 @@
 
 ``PathMetric`` reads distances from the all-pairs matrix once it is built
 and from memoized BFS rows before.  The pointwise layers (the claims,
-certificate tightening and verification, the diameter) build no matrix, so
-on a fresh metric they read rows; they must answer as they do on a metric
-whose matrix was built first.  The all-pairs scans that then build the
-matrix (the selector modulus and its verdicts, line extraction, the order
-scan) must answer as on the other metric too, on random connected graphs
+certificate tightening and verification) build no matrix, so on a fresh
+metric they read rows; they must answer as they do on a metric whose
+matrix was built first.  The all-pairs scans that then build the matrix
+(the diameter, the selector modulus and its verdicts, line extraction, the
+order scan) must answer as on the other metric too, on random connected graphs
 with minimum and random-tournament selectors.
 """
 from __future__ import annotations
@@ -84,7 +84,6 @@ def _pointwise_answers(m: PathMetric, f, rng: random.Random) -> list:
         out.append(claim2_check(m, f, claimed, ClaimConfig(v=v, z=tuple(zs), p=p)))
         out.append(claim3_side(m, f, claimed, zs, v, p))
         out.append(claim3_side(m, f, claimed, zs, v, p, q=rng.randrange(0, 4)))
-    out.append(m.diameter())
     return out
 
 
@@ -92,6 +91,7 @@ def _scan_answers(m: PathMetric, f, rng: random.Random) -> list:
     """The answers of the all-pairs scans, in a fixed order of calls."""
     n = m.graph.vertex_count
     out = []
+    out.append(m.diameter())
     r = modulus(m, f).r
     out.append(modulus(m, f))
     for s in sorted({0, r - 1, r}):

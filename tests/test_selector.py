@@ -8,11 +8,9 @@ import pytest
 from coarsegraph import (
     Holds,
     PathMetric,
-    PrecRelation,
     Witness,
     extract_line,
     hausdorff_distance,
-    lift_bornologous,
     min_selector,
     modulus,
     order_to_selector,
@@ -21,6 +19,7 @@ from coarsegraph import (
 )
 from coarsegraph.order_compat import LinearOrder
 from coarsegraph.selector import (
+    InvalidSelector,
     NonInjectiveCoordinate,
     selector_from_table,
 )
@@ -59,6 +58,19 @@ def test_modulus_p2_any_selector():
         assert modulus(m, selector_from_table(table)).r == 0
 
 
+def test_table_selectors_are_keyed_either_way_and_cover_exactly_the_graph():
+    m = PathMetric(path_graph(3))
+    with pytest.raises(InvalidSelector, match=r"no choice for pair \{0, 2\}"):
+        modulus(m, selector_from_table({(0, 1): 0}))
+    reversed_key = selector_from_table({(0, 1): 0, (0, 2): 0, (2, 1): 1})
+    assert reversed_key.choose(1, 2) == reversed_key.choose(2, 1) == 1
+    assert modulus(m, reversed_key) == modulus(m, min_selector([0, 1, 2]))
+    with pytest.raises(InvalidSelector, match=r"\{0, 5\}, not a pair of 0..2"):
+        modulus(m, selector_from_table({(0, 1): 0, (0, 2): 0, (1, 2): 1, (0, 5): 0}))
+    with pytest.raises(InvalidSelector, match="given twice"):
+        selector_from_table({(1, 2): 1, (2, 1): 2})
+
+
 def test_modulus_lexmin_grid4():
     g = grid_graph(4, 4)
     m = PathMetric(g)
@@ -68,7 +80,7 @@ def test_modulus_lexmin_grid4():
     # declared witness family: A = {(0,3),(1,0)}, B = {(1,3),(1,0)} as ids
     A, B = (3, 4), (4, 7)
     assert hausdorff_distance(m, A, B) == 1
-    assert m.distance(f.choose_pair(A), f.choose_pair(B)) == 4
+    assert m.distance(f.choose(*A), f.choose(*B)) == 4
 
 
 def test_modulus_minimality():
@@ -112,15 +124,6 @@ def test_verify_examples():
     assert witness_is_violation(grid, flex, 3, w.pair_a, w.pair_b)
 
 
-def test_prec_is_tournament():
-    rng = random.Random(5)
-    g = tripod_graph(2, 2, 3)
-    f = random_tournament(g, rng)
-    prec = PrecRelation(f)
-    for a, b in itertools.combinations(range(g.vertex_count), 2):
-        assert prec(a, b) != prec(b, a)
-
-
 def test_order_to_selector_matches_min():
     m = PathMetric(path_graph(10))
     natural = order_to_selector(LinearOrder.natural(10))
@@ -135,28 +138,6 @@ def test_order_to_selector_p2_and_grid():
     assert modulus(m, order_to_selector(LinearOrder.natural(2))).r == 0
     grid = PathMetric(grid_graph(4, 4))
     assert modulus(grid, order_to_selector(LinearOrder.natural(16))).r >= 4
-
-
-def test_lift_bornologous_basics():
-    lifted = lift_bornologous(list(range(10)))
-    assert lifted.choose({2, 5, 7}) == 2
-    m = PathMetric(path_graph(6))
-    plain = min_selector(list(range(6)))
-    restricted = lifted.restrict_to_pairs()
-    for a, b in itertools.combinations(range(6), 2):
-        assert restricted.choose(a, b) == plain.choose(a, b)
-
-
-def test_lift_bornologous_macro_uniform_at_scale():
-    m = PathMetric(path_graph(8))
-    lifted = lift_bornologous(list(range(8)))
-    subsets = [
-        s for size in (1, 2, 3) for s in itertools.combinations(range(8), size)
-    ]
-    for A in subsets:
-        for B in subsets:
-            if hausdorff_distance(m, A, B) <= 1:
-                assert m.distance(lifted.choose(A), lifted.choose(B)) <= 1
 
 
 def test_extraction_coordinate_round_trip():
