@@ -21,7 +21,6 @@ from .graph_core import (
 from .hyperspace import (
     EmptySet,
     hausdorff_distance,
-    pair_neighbors,
     vpair,
 )
 from .selector import (

@@ -35,7 +35,7 @@ from .graph_core import (
     refused,
     tokenize,
 )
-from .hyperspace import hausdorff_distance, pair_neighbors
+from .hyperspace import hausdorff_distance, neighbor_pair_candidates
 from .qi_cert import fraction_text
 from .selector import Holds, TwoSelector, Witness
 
@@ -244,9 +244,7 @@ def cmd_hausdorff(args):
         pair = _pair(args.neighbors_of, g, "--neighbors-of")
         if pair[0] == pair[1]:
             raise InputError(f"--neighbors-of takes two distinct ids, got {args.neighbors_of!r}")
-        outcome["pair_neighbors"] = sorted(
-            list(p) for p in pair_neighbors(m, tuple(pair))
-        )
+        outcome["pair_neighbors"] = sorted(list(p) for p in neighbor_pair_candidates(m, tuple(pair)))
     return outcome, 0
 
 

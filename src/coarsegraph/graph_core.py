@@ -131,8 +131,6 @@ def _labelled_bfs(adj, order: list[int], dist: list[int], label: list[int]) -> N
 # B: a batched BFS chunk takes k = B // (n * width) sources (at least one), so
 # a level expands at most max(B, n * width) table entries
 BATCH_ENTRIES = 1 << 22
-# below this many vertices the fixed numpy cost of a level exceeds a row BFS
-BATCH_MIN_VERTICES = 128
 
 
 def neighborhood_table(g: Graph, vertices) -> np.ndarray:
@@ -145,13 +143,13 @@ def neighborhood_table(g: Graph, vertices) -> np.ndarray:
     return np.array([row + row[-1:] * (width - len(row)) for row in rows], dtype=np.int64)
 
 
-def _batched_bfs(flat: np.ndarray, table: np.ndarray, sources: np.ndarray, rows: np.ndarray) -> None:
+def _batched_bfs(flat: np.ndarray, table: np.ndarray, sources: np.ndarray) -> None:
     """Distance rows of ``sources`` written into a flat int32 buffer of n-wide rows.
 
     Multi-source BFS (Then et al., VLDB 2014): one level loop serves a chunk
-    of k sources at once; row ``rows[i]`` of ``flat`` gets the distances
-    from ``sources[i]``.  Keys are flat indices row*n + v, and those rows
-    hold -1 on entry.  Each level expands its frontier through the
+    of k sources at once; row i of ``flat`` gets the distances from
+    ``sources[i]``.  Keys are flat indices i*n + v, and the buffer holds -1
+    on entry.  Each level expands its frontier through the
     closed-neighbourhood ``table`` and keeps the keys still at -1; a padded
     slot or v itself is always visited already.  The kept keys are
     deduplicated by writing distinct negative marks at them and keeping the
@@ -162,7 +160,8 @@ def _batched_bfs(flat: np.ndarray, table: np.ndarray, sources: np.ndarray, rows:
     n, width = table.shape
     k = max(1, min(n, BATCH_ENTRIES // (n * width)))
     for c in range(0, len(sources), k):
-        keys = rows[c : c + k] * n + sources[c : c + k]
+        chunk = sources[c : c + k]
+        keys = np.arange(c, c + chunk.size) * n + chunk
         flat[keys] = 0
         level = 0
         while keys.size:
@@ -316,10 +315,6 @@ class PathMetric:
             self._table = neighborhood_table(self.graph, range(self.graph.vertex_count))
         return self._table
 
-    def ball(self, v: int, radius: int) -> set[int]:
-        row = self.row(v)
-        return {u for u, d in enumerate(row) if d <= radius}
-
     def eccentricities(self):
         """(v, largest distance from v) for each vertex v in id order, from the dense matrix."""
         yield from enumerate(self.dense_matrix().max(axis=1).tolist())
@@ -332,36 +327,26 @@ class PathMetric:
     def _distance_rows(self, sources) -> np.ndarray:
         """int32 distance rows of ``sources``, one per source; none is memoized.
 
-        Memoized rows are copied in.  The others come from ``_batched_bfs``
-        when the graph has at least BATCH_MIN_VERTICES vertices and padding
-        the neighbourhood table at most doubles a level's work
-        (n * width <= 2 * (n + 2m)); otherwise from one deque BFS per row.
+        From ``_batched_bfs`` when padding the neighbourhood table at most
+        doubles a level's work (n * width <= 2 * (n + 2m)); otherwise, as on
+        a star, from one deque BFS per row.
         """
         g = self.graph
         n = g.vertex_count
         out = np.full((len(sources), n), -1, dtype=np.int32)
-        rows, todo = [], []
-        for i, s in enumerate(sources):
-            memo = self._rows.get(s)
-            if memo is None:
-                rows.append(i)
-                todo.append(s)
-            else:
-                out[i] = memo
         degrees = list(map(len, g.adjacency))
-        if n >= BATCH_MIN_VERTICES and n * (max(degrees) + 1) <= 2 * (n + sum(degrees)):
-            rows, todo = np.array(rows, dtype=np.int64), np.array(todo, dtype=np.int64)
-            _batched_bfs(out.reshape(-1), self.neighborhoods(), todo, rows)
+        if n * (max(degrees) + 1) <= 2 * (n + sum(degrees)):
+            _batched_bfs(out.reshape(-1), self.neighborhoods(), np.array(sources, dtype=np.int64))
         else:
-            for i, s in zip(rows, todo):
+            for i, s in enumerate(sources):
                 out[i] = self._bfs_row(s)
         return out
 
     def dense_matrix(self) -> np.ndarray:
         """All-pairs distance matrix as an n x n int32 ndarray, 4n^2 bytes.
 
-        The rows of every vertex by ``_distance_rows``: the memo is copied
-        in, and the other rows go straight into the matrix, not the memo.
+        The rows of every vertex by ``_distance_rows``, straight into the
+        matrix, not the memo.
         """
         if self._dense is None:
             self._dense = self._distance_rows(range(self.graph.vertex_count))

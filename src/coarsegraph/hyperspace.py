@@ -117,8 +117,3 @@ def neighbor_pair_candidates(m: PathMetric, P):
             if q not in seen:
                 seen.add(q)
                 yield q
-
-
-def pair_neighbors(m: PathMetric, P) -> set[tuple[int, int]]:
-    """All pairs B (including P itself) with d_H(P, B) <= 1."""
-    return set(neighbor_pair_candidates(m, P))

@@ -190,6 +190,7 @@ def min_modulus_search(
     each r.
     """
     m = PathMetric(g)
+    m.dense_matrix()  # verify_selector reads it anyway; the search's rows come from it
     pairs, nbrs = pair_neighbor_lists(m)
     order = sorted(range(len(pairs)), key=lambda i: (-len(nbrs[i]), pairs[i]))
     outcomes: list[Feasible | Infeasible] = []

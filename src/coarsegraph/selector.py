@@ -59,13 +59,19 @@ class TwoSelector:
         if (coord is None) == (table is None):
             raise InvalidSelector("exactly one of coord/table required")
         self.coord = list(coord) if coord is not None else None
-        self.table = table
         if self.coord is not None and len(set(self.coord)) != len(self.coord):
             raise NonInjectiveCoordinate("coordinate values must be distinct")
         if table is not None:
+            # a copy keyed (min, max); a pair may be keyed either way, but not both
+            table = dict(table)
+            for a, b in [key for key in table if key[0] > key[1]]:  # a list: table changes below
+                if (b, a) in table:
+                    raise InvalidSelector(f"pair {{{a}, {b}}} is given twice")
+                table[b, a] = table.pop((a, b))
             for (a, b), c in table.items():
                 if c != a and c != b:
                     raise InvalidSelector(f"choice {c} outside pair {{{a}, {b}}}")
+        self.table = table
 
     def choose(self, a: int, b: int) -> int:
         if a == b:
@@ -96,12 +102,7 @@ def order_to_selector(order) -> TwoSelector:
 
 def selector_from_table(table: dict) -> TwoSelector:
     """Selector with one choice per pair; a pair may be keyed either way, but not both."""
-    pairs = dict(table)
-    for a, b in [key for key in pairs if key[0] > key[1]]:  # a list: pairs changes below
-        if (b, a) in pairs:
-            raise InvalidSelector(f"pair {{{a}, {b}}} is given twice")
-        pairs[b, a] = pairs.pop((a, b))
-    return TwoSelector(table=pairs)
+    return TwoSelector(table=table)
 
 
 def _chooser(f: TwoSelector, n: int):

@@ -90,6 +90,11 @@ def exp_contains(m, A, B, radius: int) -> bool:
     return True
 
 
+def ball(m, v: int, radius: int) -> set[int]:
+    """The vertices within ``radius`` of v, from v's memoized row."""
+    return {u for u, d in enumerate(m.row(v)) if d <= radius}
+
+
 def validate_geodesic(m, vs) -> None:
     """Raise ValueError unless v0..vm has consecutive edges and d(v0, vm) = m."""
     for a, b in zip(vs, vs[1:]):

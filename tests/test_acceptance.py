@@ -48,7 +48,7 @@ from coarsegraph.order_compat import (
 from coarsegraph.search import Feasible, min_modulus_search
 from coarsegraph.generators import comb_graph, grid_graph, path_graph, tripod_graph
 
-from conftest import brute_hausdorff, degree, floyd_warshall, random_tournament
+from conftest import ball, brute_hausdorff, degree, floyd_warshall, random_tournament
 from search_oracle import exhaustive_min_modulus
 
 HALF = Fraction(1, 2)
@@ -307,10 +307,10 @@ def test_criterion_8_order_compatibility():
     if not isinstance(out, Counterexample):
         failures.append("3x3 lexicographic order reported interval at e=1")
     else:
-        ball = m.ball(out.x, 1)
-        ranks = sorted(lex.rank[u] for u in ball)
+        near = ball(m, out.x, 1)
+        ranks = sorted(lex.rank[u] for u in near)
         gap_rank = lex.rank[out.gap_vertex]
-        if out.gap_vertex in ball or not ranks[0] < gap_rank < ranks[-1]:
+        if out.gap_vertex in near or not ranks[0] < gap_rank < ranks[-1]:
             failures.append("3x3 counterexample does not re-verify")
     _report(8, failures)
 

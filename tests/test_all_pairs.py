@@ -1,11 +1,10 @@
 """The all-pairs matrix: the batched BFS kernel, the rule that selects it, its memory.
 
-``PathMetric.dense_matrix`` fills rows not yet memoized either from one
-batched BFS per chunk of sources (``graph_core._batched_bfs``) or from one
-deque BFS per row.  Both must give the queue-BFS oracle's distances, with or
-without memoized rows; the kernel runs exactly when the graph has at least
-``BATCH_MIN_VERTICES`` vertices and padding the neighbourhood table at most
-doubles a level's work, and only from the sources with no memoized row.
+``PathMetric.dense_matrix`` fills every row either from one batched BFS per
+chunk of sources (``graph_core._batched_bfs``) or from one deque BFS per
+row.  Both must give the queue-BFS oracle's distances, with or without
+memoized rows; the kernel runs exactly when padding the neighbourhood table
+at most doubles a level's work, whatever the number of vertices.
 """
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coarsegraph import Holds, PathMetric, build_graph, graph_core, min_selector, modulus, verify_selector
-from coarsegraph.generators import cycle_graph, grid_graph, path_graph
+from coarsegraph.generators import cycle_graph, grid_graph, path_graph, tripod_graph
 from coarsegraph.search import Feasible, min_modulus_search
 
 from conftest import bfs_all_pairs
@@ -43,7 +42,7 @@ def _random_connected(rng: random.Random, n: int, extra: int):
 
 @st.composite
 def oracle_graphs(draw):
-    """Graphs on both sides of BATCH_MIN_VERTICES and of the padding rule."""
+    """Graphs on both sides of the padding rule, small and large."""
     kind = draw(st.sampled_from(["random", "tree", "cycle", "ladder", "star", "dense"]))
     small = draw(st.booleans())
     n = draw(st.integers(2, 127) if small else st.integers(128, 400))
@@ -97,49 +96,38 @@ def test_distance_block_matches_a_queue_bfs_and_memoizes_nothing(g, data):
     assert m._rows == rows and m._dense is None
 
 
-def _kernel_sources(monkeypatch, g, memo=()):
+def _kernel_sources(monkeypatch, g):
     """Sources of every ``_batched_bfs`` call of one build, and the matrix."""
     calls = []
     kernel = graph_core._batched_bfs
 
-    def spy(flat, table, sources, rows):
-        # the matrix build writes each source's distances into its own row
-        assert rows.tolist() == sources.tolist()
+    def spy(flat, table, sources):
         calls.append(sources.tolist())
-        kernel(flat, table, sources, rows)
+        kernel(flat, table, sources)
 
     monkeypatch.setattr(graph_core, "_batched_bfs", spy)
-    m = PathMetric(g)
-    for v in memo:
-        m.row(v)
-    return calls, m.dense_matrix()
+    return calls, PathMetric(g).dense_matrix()
 
 
 @pytest.mark.parametrize(
-    "g", [path_graph(128), path_graph(200), grid_graph(20, 10)], ids=["path:128", "path:200", "grid:20x10"]
+    "g",
+    [path_graph(5), tripod_graph(1, 1, 1), path_graph(100), path_graph(127), path_graph(128), path_graph(200),
+     grid_graph(20, 10)],
+    ids=["path:5", "tripod:1,1,1", "path:100", "path:127", "path:128", "path:200", "grid:20x10"],
 )
 def test_the_kernel_builds_large_sparse_graphs(monkeypatch, g):
+    # and small ones: the padding rule alone picks the kernel
     calls, mat = _kernel_sources(monkeypatch, g)
     assert calls == [list(range(g.vertex_count))]
     assert mat.tolist() == bfs_all_pairs(g.vertex_count, g.edge_list())
 
 
-@pytest.mark.parametrize(
-    "g", [path_graph(100), path_graph(127), star_graph(300)], ids=["path:100", "path:127", "star:300"]
-)
+@pytest.mark.parametrize("g", [star_graph(300), star_graph(20)], ids=["star:300", "star:20"])
 def test_rows_build_small_graphs_and_stars(monkeypatch, g):
-    # paths below BATCH_MIN_VERTICES; a star's padded table has n * n entries for n - 1 edges
+    # a star's padded table has n * n entries for n - 1 edges
     calls, mat = _kernel_sources(monkeypatch, g)
     assert calls == []
     assert mat.tolist() == bfs_all_pairs(g.vertex_count, g.edge_list())
-
-
-def test_the_kernel_runs_only_from_sources_without_a_memoized_row(monkeypatch):
-    g = path_graph(200)
-    memo = [199, 3, 50]
-    calls, mat = _kernel_sources(monkeypatch, g, memo)
-    assert calls == [[v for v in range(200) if v not in memo]]
-    assert mat.tolist() == bfs_all_pairs(200, g.edge_list())
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from coarsegraph import (
 from coarsegraph.generators import comb_graph, cycle_graph, grid_graph, path_graph, tripod_graph
 
 from claims_oracle import oracle_claim2, oracle_claim3
-from conftest import random_tournament
+from conftest import ball, random_tournament
 
 
 def _ids(g):
@@ -200,7 +200,7 @@ def _drawn_chain(m, rng, p):
     if kind < 0.4:
         walk = [rng.randrange(n)]
         for _ in range(rng.randint(0, 30)):
-            walk.append(rng.choice(sorted(m.ball(walk[-1], max(p, 1)))))
+            walk.append(rng.choice(sorted(ball(m, walk[-1], max(p, 1)))))
         return tuple(walk)
     walk = geodesic_between(m, rng.randrange(n), rng.randrange(n))
     step = rng.randint(1, max(p, 1))

@@ -34,7 +34,7 @@ from coarsegraph import (
 )
 from coarsegraph.order_compat import LinearOrder
 
-from conftest import random_tournament
+from conftest import ball, random_tournament
 
 
 def _random_graph(rng: random.Random):
@@ -59,7 +59,7 @@ def _walk(m: PathMetric, rng: random.Random, p: int, length: int):
     n = m.graph.vertex_count
     zs = [rng.randrange(n)]
     for _ in range(length - 1):
-        zs.append(rng.choice(sorted(m.ball(zs[-1], p))))
+        zs.append(rng.choice(sorted(ball(m, zs[-1], p))))
     return zs
 
 

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from coarsegraph import PathMetric, hausdorff_distance, pair_neighbors
+from coarsegraph import PathMetric, hausdorff_distance
 from coarsegraph.hyperspace import EmptySet, neighbor_pair_candidates, vpair
 from coarsegraph.generators import cycle_graph, grid_graph, path_graph, tripod_graph
 
@@ -96,12 +96,12 @@ def test_exp_contains_examples():
 
 def test_pair_neighbors_examples():
     m = PathMetric(path_graph(4))
-    assert pair_neighbors(m, (0, 2)) == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}
+    assert set(neighbor_pair_candidates(m, (0, 2))) == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}
     m2 = PathMetric(path_graph(2))
-    assert pair_neighbors(m2, (0, 1)) == {(0, 1)}
+    assert set(neighbor_pair_candidates(m2, (0, 1))) == {(0, 1)}
     grid = PathMetric(grid_graph(3, 3))
     # {(0,0),(2,2)} = {0, 8}; {(0,0),(0,1)} = {0, 1} sits at d_H 3
-    assert (0, 1) not in pair_neighbors(grid, (0, 8))
+    assert (0, 1) not in set(neighbor_pair_candidates(grid, (0, 8)))
 
 
 def test_pair_neighbors_match_full_scan_and_symmetry():
@@ -113,10 +113,10 @@ def test_pair_neighbors_match_full_scan_and_symmetry():
             expected = {
                 Q for Q in pairs if hausdorff_distance(m, P, Q) <= 1
             }
-            got = pair_neighbors(m, P)
+            got = set(neighbor_pair_candidates(m, P))
             assert got == expected
             for Q in got:
-                assert P in pair_neighbors(m, Q)
+                assert P in set(neighbor_pair_candidates(m, Q))
 
 
 def test_candidate_generation_needs_no_filter():

@@ -2,8 +2,10 @@
 
 Every module-level function and class in ``src/coarsegraph`` must be named,
 as a whole word, somewhere in ``src/`` or ``perfbench/`` besides its own
-``def`` or ``class`` line, an ``__all__`` list and ``__init__.py``.  A name
-that only tests call belongs in the tests.
+``def`` or ``class`` line, an ``__all__`` list and ``__init__.py``.  Every
+method of a package class other than a dunder must be named as ``.name``
+there, outside its own ``def``.  A name that only tests call belongs in the
+tests.
 """
 from __future__ import annotations
 
@@ -35,12 +37,17 @@ def _scanned_lines():
                 yield path, lineno, line
 
 
+def _definitions(kinds):
+    """(path, node) of each module-level definition of ``kinds`` in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, kinds):
+                yield path, node
+
+
 def test_every_package_definition_is_named_outside_tests():
     definitions = [
-        (path, node.lineno, node.name)
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        (path, node.lineno, node.name) for path, node in _definitions((ast.FunctionDef, ast.ClassDef))
     ]
     # a word-boundary match of an identifier is a whole \w+ run
     named = {}
@@ -53,3 +60,26 @@ def test_every_package_definition_is_named_outside_tests():
         if not named.get(name, set()) - {(path, lineno)}
     ]
     assert unused == []
+
+
+def test_every_package_method_is_called_outside_tests():
+    methods = [
+        (path, method)
+        for path, cls in _definitions(ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and not re.fullmatch(r"__\w+__", method.name)
+    ]
+    called = {}
+    for path, lineno, line in _scanned_lines():
+        for name in set(re.findall(r"\.(\w+)", line)):
+            called.setdefault(name, set()).add((path, lineno))
+    unused = [
+        f"{path.name}:{method.lineno}: {method.name}"
+        for path, method in methods
+        if not {
+            (where, lineno)
+            for where, lineno in called.get(method.name, ())
+            if where != path or not method.lineno <= lineno <= method.end_lineno
+        }
+    ]
+    assert len(methods) > 20 and unused == []

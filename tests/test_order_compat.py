@@ -17,6 +17,7 @@ from coarsegraph.order_compat import (
     min_compat_radius,
 )
 from coarsegraph.generators import grid_graph, path_graph
+from conftest import ball
 from test_graph_core import connected_graphs
 
 
@@ -32,7 +33,7 @@ def holds_at(m, order, e, g):
     """
     for x, y in itertools.permutations(range(m.graph.vertex_count), 2):
         if m.distance(x, y) > g:
-            for xp in m.ball(x, e):
+            for xp in ball(m, x, e):
                 if (less(order, x, y) and not less(order, xp, y)) or (
                     less(order, y, x) and not less(order, y, xp)
                 ):
@@ -80,7 +81,7 @@ def violations_by_triples(m, order, e, g, limit):
             continue
         crossing = [
             xp
-            for xp in sorted(m.ball(x, e))
+            for xp in sorted(ball(m, x, e))
             if (less(order, x, y) and not less(order, xp, y))
             or (less(order, y, x) and not less(order, y, xp))
         ]
@@ -95,9 +96,9 @@ def first_interval_gap(m, order, e):
     """Oracle of is_interval_entourage: the lowest x whose e-ball skips a
     rank inside its rank span, with the lowest-rank skipped vertex."""
     for x in range(m.graph.vertex_count):
-        ball = m.ball(x, e)
-        ranks = [order.rank[u] for u in ball]
-        gaps = [v for v in range(m.graph.vertex_count) if v not in ball and min(ranks) < order.rank[v] < max(ranks)]
+        near = ball(m, x, e)
+        ranks = [order.rank[u] for u in near]
+        gaps = [v for v in range(m.graph.vertex_count) if v not in near and min(ranks) < order.rank[v] < max(ranks)]
         if gaps:
             return Counterexample(x, min(gaps, key=lambda v: order.rank[v]))
     return True
@@ -190,10 +191,10 @@ def test_interval_counterexample_on_grid():
     order = LinearOrder.natural(9)
     out = is_interval_entourage(m, order, 1)
     assert isinstance(out, Counterexample)
-    ball = m.ball(out.x, 1)
-    ranks = sorted(order.rank[u] for u in ball)
+    near = ball(m, out.x, 1)
+    ranks = sorted(order.rank[u] for u in near)
     assert ranks[0] < order.rank[out.gap_vertex] < ranks[-1]
-    assert out.gap_vertex not in ball
+    assert out.gap_vertex not in near
 
 
 def test_interval_implies_compat_on_paths():

@@ -242,6 +242,16 @@ def test_both_checkers_reject_a_tampered_refutation(spec, unlinked_conflict):
         assert not oracle_verify_refutation(dist, r, bad), name
 
 
+def test_the_search_reads_its_rows_from_the_matrix(monkeypatch):
+    # no BFS row per assigned vertex: every row is a view of the one matrix
+    def no_row_bfs(self, u):
+        raise AssertionError(f"BFS row from {u}")
+
+    monkeypatch.setattr(PathMetric, "_bfs_row", no_row_bfs)
+    outcomes = min_modulus_search(grid_graph(4, 4), 6)
+    assert isinstance(outcomes[0], Infeasible) and isinstance(outcomes[-1], Feasible)
+
+
 def test_a_refutation_must_refute_both_elements():
     g = cycle_graph(14)
     refutation = min_modulus_search(g, 7)[-2].refutation

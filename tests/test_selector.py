@@ -8,6 +8,7 @@ import pytest
 from coarsegraph import (
     Holds,
     PathMetric,
+    TwoSelector,
     Witness,
     extract_line,
     hausdorff_distance,
@@ -69,6 +70,17 @@ def test_table_selectors_are_keyed_either_way_and_cover_exactly_the_graph():
         modulus(m, selector_from_table({(0, 1): 0, (0, 2): 0, (1, 2): 1, (0, 5): 0}))
     with pytest.raises(InvalidSelector, match="given twice"):
         selector_from_table({(1, 2): 1, (2, 1): 2})
+
+
+def test_a_selector_built_from_a_table_directly_is_keyed_either_way():
+    m = PathMetric(path_graph(3))
+    table = {(2, 1): 1, (0, 1): 0, (0, 2): 0}
+    f = TwoSelector(table=table)
+    assert f.choose(1, 2) == f.choose(2, 1) == 1
+    assert modulus(m, f) == modulus(m, min_selector([0, 1, 2]))
+    assert table == {(2, 1): 1, (0, 1): 0, (0, 2): 0}  # the caller's dict is left as given
+    with pytest.raises(InvalidSelector, match="given twice"):
+        TwoSelector(table={(1, 2): 1, (2, 1): 2})
 
 
 def test_modulus_lexmin_grid4():

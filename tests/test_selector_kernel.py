@@ -53,8 +53,8 @@ BLOCKS = [1, 7, 40, hyperspace.BLOCK_ELEMENTS]
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 # at most this many rows, every third vertex's, are read through ``row``
-# before the scan; the matrix build copies them in and computes the others
-# (4096 exceeds every graph here)
+# before the scan; the matrix build computes every row anew and leaves the
+# memo as it was (4096 exceeds every graph here)
 @pytest.mark.parametrize("rows_first", [4096, 0])
 @pytest.mark.parametrize("block", BLOCKS)
 def test_kernel_matches_oracle(name, rows_first, block):
